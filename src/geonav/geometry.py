@@ -205,11 +205,6 @@ def weighted_gamma_length(s, t, c1: float, c2: float, cross: CrossParams) -> flo
     return c1 * abs(i - s) + c2 * abs(t - i)
 
 
-def polyline_length(poly) -> float:
-    pts = [as_point(p) for p in poly]
-    return sum(abs(b - a) for a, b in zip(pts, pts[1:]))
-
-
 def sample_polyline(poly, step: float) -> np.ndarray:
     """Points along a polyline at arc-length spacing <= ``step`` (vertices kept).
 

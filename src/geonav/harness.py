@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensitySpec, Rect
-from .errors import ConfigError, EmptyInput, NoValidPairs
+from .errors import ConfigError, EmptyInput, NoValidPairs, OutOfRangeTheta
 from .geometry import CrossParams, as_point, gamma_path, hausdorff_distance
-from .limits import predict_cost, predict_cross, predict_straight
+from .limits import (check_theta, limit_path_in_inset, predict_cost,
+                     predict_cross, predict_straight)
 from .navigation import (CROSS_KINDS, DIRECTED_KINDS, NavKind, NavSpec,
                          costs, run)
 from .points import navmax, sample_ppp
@@ -51,32 +52,45 @@ class ExperimentConfig:
     json_path: str | None = None
     svg_path: str | None = None
 
+    def __post_init__(self):
+        # directed kinds are refused by run_experiment: they have no target
+        if self.nav.kind not in DIRECTED_KINDS:
+            try:
+                check_theta(self.nav.kind, self.nav.theta)
+            except OutOfRangeTheta as exc:
+                raise ConfigError(str(exc)) from exc
+
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        density = DensitySpec.from_dict(obj["density"])
-        nav = NavSpec(kind=NavKind(obj["nav"]["kind"]),
-                      theta=obj["nav"].get("theta"),
-                      p_theta=obj["nav"].get("p_theta"),
-                      alpha=obj["nav"].get("alpha", 0.0),
-                      north_seed=obj["nav"].get("north_seed"),
-                      max_steps=obj["nav"].get("max_steps"))
-        pairs = obj.get("pairs")
-        if pairs is not None:
-            pairs = tuple((complex(*s), complex(*t)) for s, t in pairs)
-        return cls(density=density, nav=nav,
-                   n_values=tuple(obj["n_values"]),
-                   seeds_per_n=int(obj["seeds_per_n"]),
-                   pairs=pairs,
-                   grid_step=obj.get("grid_step"),
-                   max_pairs=int(obj.get("max_pairs", 16)),
-                   exponents=tuple(obj.get("exponents", (0.0, 1.0))),
-                   master_seed=int(obj.get("master_seed", 0)),
-                   euler_h=obj.get("euler_h"),
-                   hausdorff_resolution=float(obj.get("hausdorff_resolution", 1e-3)),
-                   navmax_grid_step=obj.get("navmax_grid_step"),
-                   csv_path=obj.get("csv_path"),
-                   json_path=obj.get("json_path"),
-                   svg_path=obj.get("svg_path"))
+        try:
+            density = DensitySpec.from_dict(obj["density"])
+            nav = NavSpec(kind=NavKind(obj["nav"]["kind"]),
+                          theta=obj["nav"].get("theta"),
+                          p_theta=obj["nav"].get("p_theta"),
+                          alpha=obj["nav"].get("alpha", 0.0),
+                          north_seed=obj["nav"].get("north_seed"),
+                          max_steps=obj["nav"].get("max_steps"))
+            pairs = obj.get("pairs")
+            if pairs is not None:
+                pairs = tuple((complex(*s), complex(*t)) for s, t in pairs)
+            return cls(density=density, nav=nav,
+                       n_values=tuple(obj["n_values"]),
+                       seeds_per_n=int(obj["seeds_per_n"]),
+                       pairs=pairs,
+                       grid_step=obj.get("grid_step"),
+                       max_pairs=int(obj.get("max_pairs", 16)),
+                       exponents=tuple(obj.get("exponents", (0.0, 1.0))),
+                       master_seed=int(obj.get("master_seed", 0)),
+                       euler_h=obj.get("euler_h"),
+                       hausdorff_resolution=float(obj.get("hausdorff_resolution", 1e-3)),
+                       navmax_grid_step=obj.get("navmax_grid_step"),
+                       csv_path=obj.get("csv_path"),
+                       json_path=obj.get("json_path"),
+                       svg_path=obj.get("svg_path"))
+        except KeyError as exc:
+            raise ConfigError(f"config is missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -84,30 +98,18 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-def _pair_admissible(cfg_density: DensitySpec, nav: NavSpec, s: complex, t: complex) -> bool:
-    """Inset filter: the limit trajectory (segment, or the two-leg polyline
-    for cross kinds) must stay in the inset domain.
-
-    A 1e-9 slack absorbs float dust on polyline corners computed from pairs
-    sitting exactly on sector borders.
-    """
-    dom = cfg_density.domain
-    a = cfg_density.inset_a - 1e-9
-    if not (dom.contains(s, a) and dom.contains(t, a)):
-        return False
-    if nav.kind in CROSS_KINDS and s != t:
-        poly = gamma_path(s, t, CrossParams(nav.p_theta))
-        return all(dom.contains(p, a) for p in poly)
-    return True
-
-
 def generate_pairs(config: ExperimentConfig) -> list:
     """Start/target pairs, either the validated explicit list or lattice
     pairs filtered by the inset predicate and truncated in lattice order."""
     dens = config.density
+    nav = config.nav
+
+    def admissible(s, t):
+        return limit_path_in_inset(dens, nav.kind, nav.p_theta, s, t)
+
     if config.pairs is not None:
         pairs = [(as_point(s), as_point(t)) for s, t in config.pairs]
-        pairs = [p for p in pairs if _pair_admissible(dens, config.nav, *p)]
+        pairs = [p for p in pairs if admissible(*p)]
         if not pairs:
             raise NoValidPairs("no explicit pair passes the inset filter")
         return pairs
@@ -126,7 +128,7 @@ def generate_pairs(config: ExperimentConfig) -> list:
         for t in lattice:
             if s == t:
                 continue
-            if _pair_admissible(dens, config.nav, s, t):
+            if admissible(s, t):
                 out.append((s, t))
                 if len(out) >= config.max_pairs:
                     return out

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,22 +26,19 @@ import numpy as np
 from .density import DensitySpec
 from .errors import (GammaLeavesInset, OutOfRangeTheta, SegmentLeavesDomain,
                      StepOutOfDomain)
-from .geometry import CrossParams, as_point, corner_point, weighted_gamma_length
+from .geometry import (CrossParams, as_point, corner_point, gamma_path,
+                       weighted_gamma_length)
 from .navigation import NavKind, stage_samples
 
 __all__ = [
     "ConstantsRow", "constants", "McConstants", "mc_constants",
     "OdeSpec", "LimitCurve", "FixedTime", "HitPoint", "LeaveInset",
     "euler_solve", "hit_time", "predict_straight", "predict_cross",
-    "predict_cost", "constants_to_json",
+    "predict_cost", "constants_to_json", "check_theta", "limit_path_in_inset",
 ]
 
 
 # -- closed forms (unit-intensity hop laws) ---------------------------------
-
-def _asinh(x: float) -> float:
-    return math.asinh(x)
-
 
 def _c_bis_t(theta: float) -> float:
     """Mean advance along the axis, projection-capped domain."""
@@ -49,7 +48,7 @@ def _c_bis_t(theta: float) -> float:
 def _q_bis_t(theta: float) -> float:
     """Mean |hop| / mean advance along the axis, projection-capped domain."""
     b = theta / 2.0
-    return 0.5 * (1.0 / math.cos(b) + _asinh(math.tan(b)) / math.tan(b))
+    return 0.5 * (1.0 / math.cos(b) + math.asinh(math.tan(b)) / math.tan(b))
 
 
 def _c_bor_t(theta: float) -> float:
@@ -60,7 +59,7 @@ def _c_bor_t(theta: float) -> float:
 
 def _q_bor_t(theta: float) -> float:
     b = theta / 2.0
-    return 0.5 * (1.0 / math.cos(b) ** 2 + _asinh(math.tan(b)) / math.sin(b))
+    return 0.5 * (1.0 / math.cos(b) ** 2 + math.asinh(math.tan(b)) / math.sin(b))
 
 
 def _e_l_dy(theta: float) -> float:
@@ -151,9 +150,9 @@ class ConstantsRow:
         return d
 
 
-def constants(kind, theta: float) -> ConstantsRow:
-    """Exact constants row; raises OutOfRangeTheta outside the kind's
-    admissible angle range."""
+def check_theta(kind, theta: float) -> None:
+    """Raise OutOfRangeTheta unless ``constants`` has a row for the kind at
+    this angle."""
     kind = NavKind(kind)
     if kind not in _RANGES:
         raise OutOfRangeTheta(f"no constants table for {kind.value}; "
@@ -163,6 +162,13 @@ def constants(kind, theta: float) -> ConstantsRow:
     ok = theta < lim - 1e-15 if mode == "open" else theta <= lim * (1.0 + 1e-5)
     if not (theta > 0.0 and ok):
         raise OutOfRangeTheta(f"theta={theta:g} outside the {kind.value} range")
+
+
+def constants(kind, theta: float) -> ConstantsRow:
+    """Exact constants row; raises OutOfRangeTheta outside the kind's
+    admissible angle range."""
+    kind = NavKind(kind)
+    check_theta(kind, theta)
     b = theta / 2.0
     if kind in (NavKind.THETA, NavKind.STRAIGHT_THETA):
         row = ConstantsRow(kind, theta, c_bis=_c_bis_t(theta), q_bis=_q_bis_t(theta),
@@ -293,9 +299,22 @@ def hop_moment(kind: NavKind, theta: float, g: float,
         disk["|".join(map(str, key))] = {
             "value": val[0], "se": val[1],
             "seed": _MC_MOMENT_SEED, "samples": _MC_MOMENT_SAMPLES}
-        with open(cache_path, "w") as fh:
-            json.dump(disk, fh, indent=2, sort_keys=True)
+        _write_json_atomic(cache_path, disk)
     return val
+
+
+def _write_json_atomic(path, obj) -> None:
+    """Write ``obj`` as JSON through a temporary file in the same directory
+    and an atomic rename, so a concurrent reader never sees half a file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # -- explicit Euler integration ----------------------------------------------
@@ -501,11 +520,32 @@ def predict_straight(kind, theta: float, s, t, density: DensitySpec,
     return limit_length, nb, curve
 
 
-def _check_gamma_inset(density: DensitySpec, pts) -> None:
-    a = density.inset_a
-    for p in pts:
-        if not density.domain.contains(p, a):
-            raise GammaLeavesInset("limit polyline exits the inset domain")
+# Corners computed from pairs that sit exactly on a sector border carry
+# float dust; the inset rule allows this much of it.
+INSET_SLACK = 1e-9
+
+
+def limit_path_in_inset(density: DensitySpec, kind, p_theta: int | None, s, t) -> bool:
+    """The inset rule for a start/target pair: the limit trajectory (the
+    segment ``[s, t]``, or the two-leg polyline through the corner for cross
+    kinds) stays in the inset domain, up to ``INSET_SLACK``.
+
+    Pair generation filters with it and the cross-kind predictors refuse
+    pairs that fail it, so every generated pair can be predicted.
+    """
+    s = as_point(s)
+    t = as_point(t)
+    if NavKind(kind) in (NavKind.YAO, NavKind.THETA):
+        path = gamma_path(s, t, CrossParams(p_theta))
+    else:
+        path = (s, t)
+    a = density.inset_a - INSET_SLACK
+    return all(density.domain.contains(p, a) for p in path)
+
+
+def _check_gamma_inset(density: DensitySpec, kind, p_theta: int, s, t) -> None:
+    if not limit_path_in_inset(density, kind, p_theta, s, t):
+        raise GammaLeavesInset("limit polyline exits the inset domain")
 
 
 def predict_cross(kind, p_theta: int, s, t, density: DensitySpec,
@@ -526,7 +566,7 @@ def predict_cross(kind, p_theta: int, s, t, density: DensitySpec,
         curve = LimitCurve(np.zeros(1), np.array([[s.real, s.imag]]), None, 0.0)
         return 0.0, 0.0, curve
     i = corner_point(s, t, cross)
-    _check_gamma_inset(density, (s, i, t))
+    _check_gamma_inset(density, kind, p_theta, s, t)
     limit_length = weighted_gamma_length(s, t, row.q_bis, row.q_bor, cross)
     t1 = hit_time(row.c_bis, s, i, density, h) if i != s else 0.0
     t2 = hit_time(row.c_bor, i, t, density, h) if i != t else 0.0
@@ -578,7 +618,7 @@ def predict_cost(kind, theta: float, g: float, s, t, density: DensitySpec,
         cross = CrossParams(p_theta)
         row = constants(kind, cross.theta)
         i = corner_point(s, t, cross)
-        _check_gamma_inset(density, (s, i, t))
+        _check_gamma_inset(density, kind, p_theta, s, t)
         total = 0.0
         if i != s:
             c1 = euler_solve(OdeSpec(row.c_bis, math.atan2((i - s).imag, (i - s).real),

@@ -14,7 +14,6 @@ axis).
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -388,10 +387,6 @@ def record_to_dict(record: PathRecord) -> dict:
         "exit_reason": record.exit_reason,
         "stops": [[float(x), float(y)] for x, y in record.stops],
     }
-
-
-def record_to_json(record: PathRecord) -> str:
-    return json.dumps(record_to_dict(record), indent=2)
 
 
 def path_to_svg(record: PathRecord, path, ps: PointSet | None = None,

@@ -4,6 +4,11 @@ Sampling is deterministic given a seed.  The grid index stores point ids in
 CSR layout (ids sorted by cell, plus per-cell offsets); sector queries expand
 square rings of cells around the apex, pruning cells that cannot intersect
 the query cone, and stop as soon as no unvisited cell can beat the best key.
+
+The diagnostics run on one vectorised cell-list gather
+(``GridIndex.gather``): ``navmax`` moves a lattice column of apexes ring by
+ring in lockstep, and ``r_min`` pairs every point with its forward
+half-neighbourhood in one pass per cell offset.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import DensitySpec, Rect
-from .errors import EmptyPointSet, TooFewPoints
+from .errors import ConfigError, EmptyPointSet, TooFewPoints
 from .geometry import EPS, as_point, norm_angle
 
 __all__ = [
@@ -48,6 +53,17 @@ class GridIndex:
         c = i * self.ny + j
         return self.order[self.starts[c]:self.starts[c + 1]]
 
+    def gather(self, cells: np.ndarray, owners: np.ndarray):
+        """Point ids in the flat ``cells`` (``i * ny + j``), each paired with
+        the owner of the cell it came from (an apex or a point).
+
+        Returns ``(ids, owner)``; ids of one cell stay together, in the
+        order of ``cells``.
+        """
+        lo = self.starts[cells]
+        cnt = self.starts[cells + 1] - lo
+        return self.order[_ranges(lo, cnt)], np.repeat(owners, cnt)
+
     def ring_cells(self, i0: int, j0: int, k: int) -> list[tuple[int, int]]:
         """Cells at Chebyshev distance k from (i0, j0), clipped to the grid."""
         if k == 0:
@@ -69,6 +85,11 @@ class GridIndex:
 
     def max_ring(self, i0: int, j0: int) -> int:
         return max(i0, self.nx - 1 - i0, j0, self.ny - 1 - j0)
+
+
+def _ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """``lo[0], ..., lo[0] + cnt[0] - 1, lo[1], ...`` as one array."""
+    return np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
 
 
 @dataclass(eq=False)
@@ -113,13 +134,19 @@ class PointSet:
 
 
 def _dedupe(rng, pts: np.ndarray, draw_one) -> np.ndarray:
-    """Redraw rows until all points are distinct (float-collision guard)."""
+    """Redraw rows until all points are distinct (float-collision guard).
+
+    The sort is stable, so of equal rows the one with the smallest index
+    stays and the others are redrawn in index order.
+    """
     while len(pts) > 1:
-        _, first = np.unique(pts, axis=0, return_index=True)
-        if len(first) == len(pts):
+        order = np.lexsort((pts[:, 1], pts[:, 0]))
+        x = pts[order, 0]
+        y = pts[order, 1]
+        same = (x[1:] == x[:-1]) & (y[1:] == y[:-1])
+        if not same.any():
             break
-        dup = np.setdiff1d(np.arange(len(pts)), first)
-        for i in dup:
+        for i in np.sort(order[1:][same]):
             pts[i] = draw_one(rng)
     return pts
 
@@ -312,47 +339,73 @@ def navmax(ps: PointSet, theta: float, grid_step: float, directions: int = 64) -
         raise EmptyPointSet("navmax needs a non-empty point set")
     inset = ps.density.domain.inset(ps.density.inset_a)
     idx = ps.index
-    half = theta / 2.0
-    nbins = directions
-    bin_w = 2.0 * math.pi / nbins
-    width = half / bin_w
-    worst = 0.0
     axs = np.arange(inset.x0, inset.x1 + 1e-9, grid_step)
     ays = np.arange(inset.y0, inset.y1 + 1e-9, grid_step)
-    for ax in axs:
-        for ay in ays:
-            i0, j0 = idx.cell_of(ax, ay)
-            per_dir = np.full(nbins, np.inf)
-            kmax = idx.max_ring(i0, j0)
-            for k in range(kmax + 1):
-                # aims whose sector has no point at all are skipped; once
-                # every aim is covered, farther rings can only add points
-                # beyond the current worst bin
-                if np.isfinite(per_dir).all() and (k - 1) * idx.cell >= per_dir.max():
-                    break
-                ids = [idx.ids_in_cell(i, j) for (i, j) in idx.ring_cells(i0, j0, k)]
-                ids = [a for a in ids if len(a)]
-                if not ids:
-                    continue
-                ids = np.concatenate(ids)
-                dx = ps.xs[ids] - ax
-                dy = ps.ys[ids] - ay
-                r = np.hypot(dx, dy)
-                keep = r > 0.0
-                if not keep.any():
-                    continue
-                r = r[keep]
-                # a point at angle phi is caught by every aim within half
-                ctr = np.arctan2(dy[keep], dx[keep]) / bin_w
-                lo = np.ceil(ctr - width).astype(np.int64)
-                cnt = (np.floor(ctr + width).astype(np.int64) - lo + 1)
-                bins = (np.repeat(lo, cnt)
-                        + (np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)))
-                np.minimum.at(per_dir, bins % nbins, np.repeat(r, cnt))
-            finite = per_dir[np.isfinite(per_dir)]
-            if len(finite):
-                worst = max(worst, float(finite.max()))
+    # the cells of the lattice columns and rows, as GridIndex.cell_of
+    i0 = np.clip(((axs - idx.rect.x0) / idx.cell).astype(np.int64), 0, idx.nx - 1)
+    j0 = np.clip(((ays - idx.rect.y0) / idx.cell).astype(np.int64), 0, idx.ny - 1)
+    worst = 0.0
+    # one lattice column at a time bounds the gathered arrays
+    for ax, ci in zip(axs, i0):
+        per_dir = _column_sector_radii(ps, ax, int(ci), ays, j0, theta / 2.0, directions)
+        finite = per_dir[np.isfinite(per_dir)]
+        if len(finite):
+            worst = max(worst, float(finite.max()))
     return worst
+
+
+def _column_sector_radii(ps: PointSet, ax, i0: int, ays: np.ndarray, j0: np.ndarray,
+                         half: float, nbins: int) -> np.ndarray:
+    """Per apex ``(ax, ays[a])``, in cell ``(i0, j0[a])``, and aim bin: the
+    distance to the nearest point within ``half`` of the aim (inf where the
+    sector is empty)."""
+    idx = ps.index
+    bin_w = 2.0 * math.pi / nbins
+    width = half / bin_w
+    per_dir = np.full((len(ays), nbins), np.inf)
+    flat_dir = per_dir.reshape(-1)
+    active = np.arange(len(ays))
+    kmax = max(i0, idx.nx - 1 - i0, int(j0.max()), idx.ny - 1 - int(j0.min()))
+    for k in range(kmax + 1):
+        # aims whose sector has no point at all are skipped; once every aim
+        # is covered, farther rings can only add points beyond the current
+        # worst bin (a ring beyond an apex's own last ring is empty)
+        rows = per_dir[active]
+        done = np.isfinite(rows).all(axis=1) & ((k - 1) * idx.cell >= rows.max(axis=1))
+        active = active[~done]
+        if not len(active):
+            break
+        di, dj = _ring_offsets(k)
+        ci = i0 + di
+        cj = j0[active, None] + dj
+        ok = (ci >= 0) & (ci < idx.nx) & (cj >= 0) & (cj < idx.ny)
+        owner = np.broadcast_to(active[:, None], ok.shape)[ok]
+        ids, owner = idx.gather((ci * idx.ny + cj)[ok], owner)
+        dx = ps.xs[ids] - ax
+        dy = ps.ys[ids] - ays[owner]
+        r = np.hypot(dx, dy)
+        keep = r > 0.0
+        if not keep.any():
+            continue
+        r = r[keep]
+        # a point at angle phi is caught by every aim within half
+        ctr = np.arctan2(dy[keep], dx[keep]) / bin_w
+        lo = np.ceil(ctr - width).astype(np.int64)
+        cnt = (np.floor(ctr + width).astype(np.int64) - lo + 1)
+        np.minimum.at(flat_dir, np.repeat(owner[keep] * nbins, cnt) + _ranges(lo, cnt) % nbins,
+                      np.repeat(r, cnt))
+    return per_dir
+
+
+def _ring_offsets(k: int):
+    """Cell offsets ``(di, dj)`` at Chebyshev distance ``k``."""
+    if k == 0:
+        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    side = np.arange(-k, k + 1)
+    inner = side[1:-1]
+    di = np.concatenate([side, side, np.full(len(inner), -k), np.full(len(inner), k)])
+    dj = np.concatenate([np.full(len(side), -k), np.full(len(side), k), inner, inner])
+    return di, dj
 
 
 def maxball(ps: PointSet, r: float, grid_step: float) -> int:
@@ -392,41 +445,31 @@ def r_min(ps: PointSet) -> float:
     if len(ps) < 2:
         raise TooFewPoints("r_min needs at least two points")
     idx = ps.index
+    # every point, in CSR order, with the cell it sits in
+    pts = idx.order
+    ci, cj = np.divmod(np.repeat(np.arange(idx.nx * idx.ny), np.diff(idx.starts)), idx.ny)
     reach = 1
     while True:
-        best = math.inf
-        for i in range(idx.nx):
-            for j in range(idx.ny):
-                here = idx.ids_in_cell(i, j)
-                if not len(here):
-                    continue
-                neigh = [here]
-                # forward half-neighborhood so each pair is seen once
-                for di in range(0, reach + 1):
-                    for dj in range(-reach if di > 0 else 1, reach + 1):
-                        ii, jj = i + di, j + dj
-                        if 0 <= ii < idx.nx and 0 <= jj < idx.ny:
-                            a = idx.ids_in_cell(ii, jj)
-                            if len(a):
-                                neigh.append(a)
-                if len(here) > 1:
-                    d = _min_pair(ps, here, here)
-                    best = min(best, d)
-                for a in neigh[1:]:
-                    best = min(best, _min_pair(ps, here, a))
+        best2 = math.inf
+        # forward half-neighborhood so each pair is seen once
+        offsets = [(0, dj) for dj in range(0, reach + 1)]
+        offsets += [(di, dj) for di in range(1, reach + 1) for dj in range(-reach, reach + 1)]
+        for di, dj in offsets:
+            ii = ci + di
+            jj = cj + dj
+            ok = (ii < idx.nx) & (jj >= 0) & (jj < idx.ny)
+            ids, own = idx.gather(ii[ok] * idx.ny + jj[ok], pts[ok])
+            if di == 0 and dj == 0:
+                later = ids > own
+                ids, own = ids[later], own[later]
+            if len(ids):
+                dx = ps.xs[own] - ps.xs[ids]
+                dy = ps.ys[own] - ps.ys[ids]
+                best2 = min(best2, float((dx * dx + dy * dy).min()))
+        best = math.sqrt(best2)
         if best <= reach * idx.cell or reach >= max(idx.nx, idx.ny):
             return best
         reach = 2 * reach if math.isinf(best) else max(reach + 1, math.ceil(best / idx.cell))
-
-
-def _min_pair(ps: PointSet, a: np.ndarray, b: np.ndarray) -> float:
-    dx = ps.xs[a][:, None] - ps.xs[b][None, :]
-    dy = ps.ys[a][:, None] - ps.ys[b][None, :]
-    d2 = dx * dx + dy * dy
-    if a is b:
-        np.fill_diagonal(d2, np.inf)
-    m = float(d2.min())
-    return math.sqrt(m) if np.isfinite(m) else math.inf
 
 
 def diagnose(ps: PointSet, theta: float, grid_step: float, r: float) -> Diagnostics:
@@ -467,13 +510,16 @@ def load_points(path) -> PointSet:
             elif line != "x,y":
                 x, y = line.split(",")
                 rows.append((float(x), float(y)))
-    kind, params = meta["density"].split(":")
-    x0, y0, x1, y1 = (float(v) for v in meta["domain"].split(","))
+    try:
+        kind, params = meta["density"].split(":")
+        x0, y0, x1, y1 = (float(v) for v in meta["domain"].split(","))
+        inset_a, n, seed, model = (float(meta["inset_a"]), float(meta["n"]),
+                                   int(meta["seed"]), meta["model"])
+    except KeyError as exc:
+        raise ConfigError(f"{path}: header has no {exc} field") from exc
     dens = DensitySpec(kind, tuple(float(p) for p in params.split(",")),
-                       Rect(x0, y0, x1, y1), float(meta["inset_a"]))
-    n = float(meta["n"])
-    model = ("ppp", n) if meta["model"] == "ppp" else ("iid", int(n))
-    return PointSet(np.array(rows, dtype=float).reshape(-1, 2), dens,
-                    int(meta["seed"]), model)
+                       Rect(x0, y0, x1, y1), inset_a)
+    model = ("ppp", n) if model == "ppp" else ("iid", int(n))
+    return PointSet(np.array(rows, dtype=float).reshape(-1, 2), dens, seed, model)
 
 

@@ -118,6 +118,44 @@ def test_experiment_with_seed_override(tmp_path, capsys):
     assert a.read_bytes() != b.read_bytes()
 
 
+def write_config(tmp_path, **changes):
+    cfg = {
+        "density": {"kind": "constant", "params": [1.0],
+                    "domain": [0, 0, 1, 1], "inset_a": 0.05},
+        "nav": {"kind": "straight-t", "theta": math.pi / 2},
+        "n_values": [400.0],
+        "seeds_per_n": 1,
+        "pairs": [[[0.2, 0.5], [0.8, 0.5]]],
+    }
+    cfg.update(changes)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    return str(path)
+
+
+def test_experiment_kind_without_constants_is_config_error(tmp_path, capsys):
+    # theta = pi/2 is outside the t range (pi/3)
+    cfg = write_config(tmp_path, nav={"kind": "t", "p_theta": 4})
+    code, _, err = run_cli(capsys, "experiment", "--config", cfg)
+    assert code == 1
+    assert "range" in err
+
+
+def test_experiment_missing_key_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_values=None)
+    code, _, err = run_cli(capsys, "experiment", "--config", cfg)
+    assert code == 1
+    assert "n_values" in err
+
+
+def test_diagnose_points_without_header_is_config_error(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n0.1,0.2\n0.3,0.4\n")
+    code, _, err = run_cli(capsys, "diagnose", "--points", str(pts))
+    assert code == 1
+    assert "header" in err
+
+
 def test_experiment_missing_config(capsys):
     code, _, err = run_cli(capsys, "experiment", "--config", "/nonexistent.json")
     assert code == 1

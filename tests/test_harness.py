@@ -7,8 +7,9 @@ import pytest
 from geonav import (CrossParams, DensitySpec, EmptyInput, NavKind, NavSpec,
                     NoValidPairs, gamma_path)
 from geonav.geometry import sample_polyline
-from geonav.harness import (ExperimentConfig, ResultRow, generate_pairs,
-                            render_svg, run_experiment, summarize, write_csv)
+from geonav.harness import (ExperimentConfig, ResultRow, _predictions,
+                            generate_pairs, render_svg, run_experiment,
+                            summarize, write_csv)
 
 UNIT = DensitySpec.constant(1.0)
 
@@ -79,6 +80,17 @@ def test_generate_pairs_explicit_filtered():
     assert pairs == [(0.2 + 0.5j, 0.8 + 0.5j)]
     with pytest.raises(NoValidPairs):
         generate_pairs(small_config(pairs=((0.01 + 0.5j, 0.5 + 0.5j),)))
+
+
+@pytest.mark.parametrize("p_theta", [6, 8])
+def test_generated_lattice_pairs_all_predict(p_theta):
+    # on the 0.1 lattice hundreds of pairs have a corner on the inset border
+    # up to float dust; the pair filter and the predictors must agree on them
+    cfg = small_config(nav=NavSpec(kind=NavKind.THETA, p_theta=p_theta), pairs=None,
+                       grid_step=0.1, max_pairs=10_000, exponents=(0.0,), euler_h=0.5)
+    pairs = generate_pairs(cfg)
+    assert len(pairs) > 9000
+    assert len(_predictions(cfg, pairs)) == len(pairs)
 
 
 # -- experiment sweep --------------------------------------------------------------

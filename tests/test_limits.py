@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from geonav import (DensitySpec, FixedTime, HitPoint, NavKind, OdeSpec,
                     OutOfRangeTheta, Rect, constants, euler_solve, hit_time,
                     mc_constants, predict_cost, predict_cross,
                     predict_straight)
+from geonav import limits
 from geonav.limits import hop_moment
 
 DEG = math.pi / 180.0
@@ -173,6 +175,32 @@ def test_hop_moment_mc_fallback():
     # cached: second call returns the identical value
     val2, se2 = hop_moment(NavKind.STRAIGHT_THETA, theta, g)
     assert (val2, se2) == (val, se)
+
+
+def test_hop_moment_cache_write_is_atomic(tmp_path, monkeypatch):
+    # no closed form at g = 1.5 and 2.5, so both go to the (shortened) sampler
+    monkeypatch.setattr(limits, "_MC_MOMENT_SAMPLES", 10_000)
+    monkeypatch.setattr(limits, "_mc_moment_cache", {})
+    cache = tmp_path / "moments.json"
+    earlier = {"directed-t|1.0|3.0": {"value": 1.25, "se": 0.01, "seed": 1, "samples": 10}}
+    cache.write_text(json.dumps(earlier))
+    val, _ = hop_moment(NavKind.STRAIGHT_THETA, math.pi / 2, 1.5, cache_path=cache)
+    disk = json.loads(cache.read_text())
+    assert disk["directed-t|1.0|3.0"] == earlier["directed-t|1.0|3.0"]
+    assert [v["value"] for k, v in disk.items() if k != "directed-t|1.0|3.0"] == [val]
+    assert os.listdir(tmp_path) == ["moments.json"]
+
+    # a write that fails half way leaves the file as it was, and no litter
+    def broken_dump(obj, fh, **kw):
+        fh.write("{")
+        raise OSError("disk full")
+
+    before = cache.read_bytes()
+    monkeypatch.setattr(limits.json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        hop_moment(NavKind.STRAIGHT_THETA, math.pi / 2, 2.5, cache_path=cache)
+    assert cache.read_bytes() == before
+    assert os.listdir(tmp_path) == ["moments.json"]
 
 
 # -- Euler solver -------------------------------------------------------------------

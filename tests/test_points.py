@@ -7,8 +7,10 @@ from geonav import (DensitySpec, EmptyPointSet, PointSet, Rect, TooFewPoints,
                     load_points, maxball, navmax, nearest_in_sector, r_min,
                     sample_iid, sample_ppp, save_points)
 from geonav.geometry import EPS
+from geonav.points import _dedupe
 
 UNIT = DensitySpec.constant(1.0)
+BUMP = DensitySpec.radial_bump((0.5, 0.5), 0.5, 1.5, 0.3)
 
 
 def make_set(points, density=UNIT):
@@ -126,6 +128,40 @@ def test_ppp_disjoint_counts_independent_poisson():
             assert abs(np.corrcoef(counts[:, a], counts[:, b])[0, 1]) < z
 
 
+def unique_rule_dedupe(pts, draw_one):
+    """Reference: redraw every row that ``np.unique`` does not report as the
+    first occurrence of its value, in index order, until none is left."""
+    while len(pts) > 1:
+        _, first = np.unique(pts, axis=0, return_index=True)
+        if len(first) == len(pts):
+            break
+        for i in np.setdiff1d(np.arange(len(pts)), first):
+            pts[i] = draw_one(None)
+    return pts
+
+
+def test_dedupe_matches_unique_rule():
+    rng = np.random.default_rng(8)
+    pts = rng.random((60, 2))
+    pts[[7, 19, 33]] = pts[3]
+    pts[41] = pts[19]
+    pts[50] = pts[2]
+    pts[11, 0] = pts[10, 0]          # same x, other y: not a duplicate
+    pts[12, 1] = pts[13, 1]          # same y, other x: not a duplicate
+
+    def scripted():
+        # the first redraw collides with row 0 again, so a second round runs
+        rows = iter([tuple(pts[0])] + [(2.0 + k, 3.0 - k) for k in range(10)])
+        return lambda _rng: next(rows)
+
+    want = unique_rule_dedupe(pts.copy(), scripted())
+    got = _dedupe(rng, pts.copy(), scripted())
+    assert np.array_equal(got, want)
+    assert len(np.unique(got, axis=0)) == len(got)
+    assert np.array_equal(np.delete(got, [7, 19, 33, 41, 50], axis=0),
+                          np.delete(pts, [7, 19, 33, 41, 50], axis=0))
+
+
 # -- grid index -----------------------------------------------------------------
 
 def test_index_partitions_ids():
@@ -230,6 +266,40 @@ def test_navmax_bound_form_many_seeds():
     assert bad <= 1
 
 
+def brute_navmax(ps, theta, grid_step, directions=64):
+    """navmax reading every point for every apex and aim: an aim catches a
+    point when the point's angle, in bins, lies within half of the aim up
+    to a whole turn."""
+    inset = ps.density.domain.inset(ps.density.inset_a)
+    bin_w = 2.0 * math.pi / directions
+    width = theta / 2.0 / bin_w
+    aims = np.arange(directions)[:, None, None] + np.array([-directions, 0, directions])[:, None]
+    worst = 0.0
+    for ax in np.arange(inset.x0, inset.x1 + 1e-9, grid_step):
+        for ay in np.arange(inset.y0, inset.y1 + 1e-9, grid_step):
+            dx = ps.xs - ax
+            dy = ps.ys - ay
+            r = np.hypot(dx, dy)
+            ctr = np.arctan2(dy, dx) / bin_w
+            caught = ((ctr - width <= aims) & (aims <= ctr + width)).any(axis=1) & (r > 0.0)
+            per_aim = np.where(caught, r, np.inf).min(axis=1)
+            finite = per_aim[np.isfinite(per_aim)]
+            if len(finite):
+                worst = max(worst, float(finite.max()))
+    return worst
+
+
+@pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 2, math.pi])
+def test_navmax_matches_brute_force(theta):
+    const = sample_ppp(UNIT, 100, seed=31)
+    # cells of 0.1 and a lattice 0.05, 0.10, ...: every other apex column and
+    # row sits on a cell border
+    assert const.index.cell == 0.1
+    bump = sample_ppp(BUMP, 150, seed=32)
+    for ps, step in ((const, 0.05), (bump, 0.07)):
+        assert navmax(ps, theta, step) == brute_navmax(ps, theta, step)
+
+
 def test_maxball_trivial():
     assert maxball(make_set(np.empty((0, 2))), 0.1, 0.1) == 0
     pts = 0.5 + 0.01 * np.random.default_rng(3).random((40, 2))
@@ -270,13 +340,37 @@ def test_r_min_two_points_and_lattice():
     assert r_min(make_set(lattice, big)) == 1.0
 
 
-def test_r_min_matches_brute_force():
-    ps = sample_ppp(UNIT, 1000, seed=22)
+def brute_r_min(ps):
     dx = ps.xs[:, None] - ps.xs[None, :]
     dy = ps.ys[:, None] - ps.ys[None, :]
     d2 = dx * dx + dy * dy
     np.fill_diagonal(d2, np.inf)
-    assert r_min(ps) == math.sqrt(d2.min())
+    return math.sqrt(d2.min())
+
+
+def test_r_min_matches_brute_force():
+    ps = sample_ppp(UNIT, 1000, seed=22)
+    assert r_min(ps) == brute_r_min(ps)
+
+
+def test_r_min_clustered_many_per_cell():
+    # cells of 0.1 sized for 100 points, holding 1500: dozens share a cell
+    rng = np.random.default_rng(23)
+    pts = np.vstack([c + 0.03 * rng.standard_normal((500, 2))
+                     for c in ((0.3, 0.3), (0.7, 0.4), (0.5, 0.75))])
+    ps = PointSet(np.clip(pts, 0.0, 1.0), UNIT, 0, ("iid", 100))
+    assert np.diff(ps.index.starts).max() >= 20
+    assert r_min(ps) == brute_r_min(ps)
+
+
+def test_r_min_sparse_widens_reach():
+    # cells of 0.01 sized for 1e4 points, holding 25 whose closest pair is
+    # farther apart than any two points of neighbouring cells: the first pass
+    # finds nothing, so the reach doubles and then jumps to the best distance
+    rng = np.random.default_rng(24)
+    ps = PointSet(rng.random((25, 2)), UNIT, 0, ("iid", 10_000))
+    assert ps.index.cell == 0.01 and brute_r_min(ps) > 0.03
+    assert r_min(ps) == brute_r_min(ps)
 
 
 def test_r_min_needs_two_points():
