@@ -171,22 +171,22 @@ def constants(kind, theta: float) -> ConstantsRow:
     check_theta(kind, theta)
     b = theta / 2.0
     if kind in (NavKind.THETA, NavKind.STRAIGHT_THETA):
-        row = ConstantsRow(kind, theta, c_bis=_c_bis_t(theta), q_bis=_q_bis_t(theta),
-                           e_l=_c_bis_t(theta) * _q_bis_t(theta), e_x=_c_bis_t(theta))
+        c_bis = _c_bis_t(theta)
+        q_bis = _q_bis_t(theta)
+        border = {}
         if kind is NavKind.THETA:
-            row = ConstantsRow(kind, theta, row.c_bis, row.q_bis, row.e_l, row.e_x,
-                               c_bor=_c_bor_t(theta), q_bor=_q_bor_t(theta),
-                               e_xi=_c_bor_t(theta))
-        return row
+            c_bor = _c_bor_t(theta)
+            border = dict(c_bor=c_bor, q_bor=_q_bor_t(theta), e_xi=c_bor)
+        return ConstantsRow(kind, theta, c_bis=c_bis, q_bis=q_bis, e_l=c_bis * q_bis,
+                            e_x=c_bis, **border)
     if kind in (NavKind.YAO, NavKind.STRAIGHT_YAO):
-        e_l = _e_l_dy(theta)
-        row = ConstantsRow(kind, theta, c_bis=_c_bis_y(theta), q_bis=_q_bis_y(theta),
-                           e_l=e_l, e_x=_c_bis_y(theta))
+        c_bis = _c_bis_y(theta)
+        border = {}
         if kind is NavKind.YAO:
-            row = ConstantsRow(kind, theta, row.c_bis, row.q_bis, row.e_l, row.e_x,
-                               c_bor=_c_bor_y(theta), q_bor=_q_bor_y(theta),
-                               e_xi=_c_bor_y(theta))
-        return row
+            c_bor = _c_bor_y(theta)
+            border = dict(c_bor=c_bor, q_bor=_q_bor_y(theta), e_xi=c_bor)
+        return ConstantsRow(kind, theta, c_bis=c_bis, q_bis=_q_bis_y(theta),
+                            e_l=_e_l_dy(theta), e_x=c_bis, **border)
     if kind is NavKind.RANDOM_NORTH_THETA:
         e_l = _c_bis_t(theta) * _q_bis_t(theta)
         e_x = _c_bis_t(theta) * math.sin(b) / b

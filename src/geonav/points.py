@@ -1,9 +1,10 @@
 """Random stopping-place sets with a uniform-grid index for sector queries.
 
 Sampling is deterministic given a seed.  The grid index stores point ids in
-CSR layout (ids sorted by cell, plus per-cell offsets); sector queries expand
-square rings of cells around the apex, pruning cells that cannot intersect
-the query cone, and stop as soon as no unvisited cell can beat the best key.
+CSR layout (ids sorted by cell, plus per-cell offsets).  Sector queries read
+square rings of cells around the apex in batches through the same gather,
+drop cells that cannot meet the query cone or whose lower key bound exceeds
+the best key so far, and stop as soon as no unvisited ring can beat it.
 
 The diagnostics run on one vectorised cell-list gather
 (``GridIndex.gather``): ``navmax`` moves a lattice column of apexes ring by
@@ -64,24 +65,26 @@ class GridIndex:
         cnt = self.starts[cells + 1] - lo
         return self.order[_ranges(lo, cnt)], np.repeat(owners, cnt)
 
-    def ring_cells(self, i0: int, j0: int, k: int) -> list[tuple[int, int]]:
-        """Cells at Chebyshev distance k from (i0, j0), clipped to the grid."""
-        if k == 0:
-            return [(i0, j0)] if 0 <= i0 < self.nx and 0 <= j0 < self.ny else []
-        cells = []
-        for i in range(i0 - k, i0 + k + 1):
-            if 0 <= i < self.nx:
-                if 0 <= j0 - k < self.ny:
-                    cells.append((i, j0 - k))
-                if 0 <= j0 + k < self.ny:
-                    cells.append((i, j0 + k))
-        for j in range(j0 - k + 1, j0 + k):
-            if 0 <= j < self.ny:
-                if 0 <= i0 - k < self.nx:
-                    cells.append((i0 - k, j))
-                if 0 <= i0 + k < self.nx:
-                    cells.append((i0 + k, j))
-        return cells
+    def annulus(self, i0: int, j0: int, a: int, b: int):
+        """Cells at Chebyshev distance ``a`` to ``b - 1`` (``a >= 1``) from
+        ``(i0, j0)``, clipped to the grid, as arrays ``(i, j)``: two bands of
+        whole columns ``i``, then the columns between them cut to their two
+        ends."""
+        ilo, ihi = max(i0 - b + 1, 0), min(i0 + b - 1, self.nx - 1)
+        jlo, jhi = max(j0 - b + 1, 0), min(j0 + b - 1, self.ny - 1)
+        band_i = np.r_[ilo:min(i0 - a, ihi) + 1, max(i0 + a, ilo):ihi + 1]
+        mid_i = np.arange(max(i0 - a + 1, ilo), min(i0 + a - 1, ihi) + 1)
+        band_j = np.r_[jlo:min(j0 - a, jhi) + 1, max(j0 + a, jlo):jhi + 1]
+        all_j = np.arange(jlo, jhi + 1)
+        return (np.concatenate([np.repeat(band_i, len(all_j)), np.repeat(mid_i, len(band_j))]),
+                np.concatenate([np.tile(all_j, len(band_i)), np.tile(band_j, len(mid_i))]))
+
+    def count_within(self, i0: int, j0: int, m: int) -> int:
+        """Number of cells at Chebyshev distance below ``m`` from ``(i0, j0)``."""
+        if m <= 0:
+            return 0
+        return ((min(i0 + m - 1, self.nx - 1) - max(i0 - m + 1, 0) + 1)
+                * (min(j0 + m - 1, self.ny - 1) - max(j0 - m + 1, 0) + 1))
 
     def max_ring(self, i0: int, j0: int) -> int:
         return max(i0, self.nx - 1 - i0, j0, self.ny - 1 - j0)
@@ -220,10 +223,47 @@ def _candidate_key(dx, dy, nu: float, half: float, triangle: bool):
     return inside, key, border
 
 
+def _lexmin(key, border, ids):
+    """Smallest ``(key, border, id)`` and its position."""
+    j = np.lexsort((ids, border, key))[0]
+    return (float(key[j]), float(border[j]), int(ids[j])), j
+
+
+def _stop_ring(ring, key, a: int, b: int, best, cell: float, key_factor: float):
+    """First ring ``k`` of ``a .. b - 1`` before which a ring-at-a-time scan
+    of these candidates stops (``max(0, k-1)*cell*key_factor`` exceeds the
+    best key of the rings before ``k``, ``best`` before ring ``a``), or None."""
+    low = np.full(b - a, np.inf)
+    np.minimum.at(low, ring - a, key)
+    low = np.minimum.accumulate(np.r_[math.inf if best is None else best[0], low[:-1]])
+    stop = np.maximum(np.arange(a, b) - 1, 0) * cell * key_factor > low
+    return a + int(stop.argmax()) if stop.any() else None
+
+
+# rings 0-3 around the apex cell come from one table of offsets; later
+# rings are read in annuli of at most _BATCH_CELLS cells, which bounds the
+# temporary arrays of a scan that never exits early (the half-plane)
+_FIRST_RINGS = 4
+_FIRST_DI, _FIRST_DJ = (o.ravel() for o in np.meshgrid(np.arange(-3, 4), np.arange(-3, 4),
+                                                      indexing="ij"))
+_FIRST_RING = np.maximum(np.abs(_FIRST_DI), np.abs(_FIRST_DJ))
+_BATCH_CELLS = 1 << 14
+
+
 def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
                  triangle: bool):
-    """Best (key, border, id) over indexed points in the infinite sector."""
+    """Best (key, border, id) over indexed points in the infinite sector.
+
+    Square rings of cells around the apex cell are read in batches.  The
+    scan stops before ring ``k`` once ``(k-1)*cell*key_factor`` exceeds the
+    best key of the rings before it; a batch applies that rule ring by ring,
+    so it returns what a ring-at-a-time scan would.  Cells wholly outside
+    the cone are dropped by their corners, and once a best key exists, so
+    is every cell whose lower key bound (smallest corner projection on the
+    axis, or distance to the apex) exceeds it by more than rounding.
+    """
     idx = ps.index
+    rect = idx.rect
     ax, ay = apex.real, apex.imag
     i0, j0 = idx.cell_of(ax, ay)
     cell = idx.cell
@@ -232,46 +272,81 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
     convex = half <= 0.5 * math.pi
     ulo = (math.cos(nu - half), math.sin(nu - half))
     uhi = (math.cos(nu + half), math.sin(nu + half))
+    c, s = math.cos(nu), math.sin(nu)
+    # the bounds and the keys round differently; ties must survive
+    slack = 1e-12 * (cell + max(abs(rect.x0), abs(rect.x1), abs(rect.y0), abs(rect.y1)))
     best = None  # (key, border, id)
     kmax = idx.max_ring(i0, j0)
-    for k in range(kmax + 1):
+    a = 0
+    while a <= kmax:
+        if best is not None and max(0, a - 1) * cell * key_factor > best[0]:
+            break                   # the stop rule
+        if a == 0:
+            b = _FIRST_RINGS
+            ci = i0 + _FIRST_DI
+            cj = j0 + _FIRST_DJ
+            ring = _FIRST_RING
+            r = _FIRST_RINGS - 1
+            if not (r <= i0 < idx.nx - r and r <= j0 < idx.ny - r):
+                # the table reaches past the grid's edge: clip it
+                on = (ci >= 0) & (ci < idx.nx) & (cj >= 0) & (cj < idx.ny)
+                ci, cj, ring = ci[on], cj[on], ring[on]
+        else:
+            b = min(2 * a, kmax + 1)
+            if best is not None and key_factor > 0.0:
+                # the stop rule ends the scan by this ring
+                b = max(a + 1, min(b, int(best[0] / (cell * key_factor)) + 2))
+            base = idx.count_within(i0, j0, a)
+            while b > a + 1 and idx.count_within(i0, j0, b) - base > _BATCH_CELLS:
+                b = (a + b) // 2
+            ci, cj = idx.annulus(i0, j0, a, b)
+            ring = np.maximum(np.abs(ci - i0), np.abs(cj - j0))
+        x_lo = rect.x0 + ci * cell - ax
+        x_hi = x_lo + cell
+        y_lo = rect.y0 + cj * cell - ay
+        y_hi = y_lo + cell
+        keep = None
+        if convex:
+            # a cell is wholly outside one of the cone's half-planes when its
+            # largest (smallest) corner cross product with the border is < 0
+            # (> 0); the corner that attains it follows from the signs
+            lo_max = (ulo[0] * (y_hi if ulo[0] >= 0.0 else y_lo)
+                      - ulo[1] * (x_lo if ulo[1] >= 0.0 else x_hi))
+            hi_min = (uhi[0] * (y_lo if uhi[0] >= 0.0 else y_hi)
+                      - uhi[1] * (x_hi if uhi[1] >= 0.0 else x_lo))
+            keep = ((lo_max >= 0.0) & (hi_min <= 0.0)) | (ring == 0)
         if best is not None:
-            bound = max(0.0, (k - 1)) * cell * key_factor
-            if bound > best[0]:
-                break
-        gathered = []
-        for (i, j) in idx.ring_cells(i0, j0, k):
-            if convex and k > 0:
-                # prune cells wholly outside one of the cone's half-planes
-                x_lo = idx.rect.x0 + i * cell - ax
-                x_hi = x_lo + cell
-                y_lo = idx.rect.y0 + j * cell - ay
-                y_hi = y_lo + cell
-                cr = (ulo[0] * y_lo - ulo[1] * x_lo, ulo[0] * y_lo - ulo[1] * x_hi,
-                      ulo[0] * y_hi - ulo[1] * x_lo, ulo[0] * y_hi - ulo[1] * x_hi)
-                if max(cr) < 0.0:
-                    continue
-                cr = (uhi[0] * y_lo - uhi[1] * x_lo, uhi[0] * y_lo - uhi[1] * x_hi,
-                      uhi[0] * y_hi - uhi[1] * x_lo, uhi[0] * y_hi - uhi[1] * x_hi)
-                if min(cr) > 0.0:
-                    continue
-            ids = idx.ids_in_cell(i, j)
-            if len(ids):
-                gathered.append(ids)
-        if not gathered:
-            continue
-        ids = np.concatenate(gathered)
+            if triangle:
+                bound = (x_lo if c >= 0.0 else x_hi) * c + (y_lo if s >= 0.0 else y_hi) * s
+            else:
+                bound = np.hypot(np.maximum(np.maximum(x_lo, -x_hi), 0.0),
+                                 np.maximum(np.maximum(y_lo, -y_hi), 0.0))
+            near = bound <= best[0] + slack
+            keep = near if keep is None else keep & near
+        cells = ci * idx.ny + cj
+        if keep is not None:
+            cells, ring = cells[keep], ring[keep]
+        ids, ring = idx.gather(cells, ring)
         inside, key, border = _candidate_key(ps.xs[ids] - ax, ps.ys[ids] - ay,
                                              nu, half, triangle)
-        if not inside.any():
-            continue
-        ids = ids[inside]
-        key = key[inside]
-        border = border[inside]
-        j = np.lexsort((ids, border, key))[0]
-        cand = (float(key[j]), float(border[j]), int(ids[j]))
-        if best is None or cand < best:
-            best = cand
+        if inside.any():
+            ids, ring, key, border = ids[inside], ring[inside], key[inside], border[inside]
+            cand, j = _lexmin(key, border, ids)
+            if best is None or cand < best:
+                # the stop rule can end the scan inside this batch, before the
+                # candidate's ring, only if its key is under that ring's bound
+                stop = None
+                if max(0, int(ring[j]) - 1) * cell * key_factor > cand[0]:
+                    stop = _stop_ring(ring, key, a, b, best, cell, key_factor)
+                if stop is not None:
+                    early = ring < stop
+                    if early.any():
+                        cand, _ = _lexmin(key[early], border[early], ids[early])
+                        if best is None or cand < best:
+                            best = cand
+                    return best
+                best = cand
+        a = b
     return best
 
 
@@ -285,6 +360,18 @@ def nearest_in_sector(ps: PointSet, apex, direction: float, half_angle: float,
     distance to the first border, then on point id (``extra`` wins last
     resort ties).  Returns ``(point, key, id)`` with ``id = -1`` for the
     extra point, or ``None`` when the sector is empty.
+
+    A point at distance ``r > 0`` from the apex is inside when its
+    projection on the bisector is at least ``r * (cos(half_angle) - EPS)``.
+    At ``half_angle = pi/2`` the triangle sector (``directed-t`` at
+    ``theta = pi``) is the closed half-plane ahead of the border line
+    through the apex:
+
+    - a point on that line is inside, with key 0 (up to the rounding of
+      the bisector's direction);
+    - a point up to ``EPS * r`` behind it is inside too, with a small
+      negative key;
+    - the apex itself is never a candidate.
     """
     apex = as_point(apex)
     nu = norm_angle(direction)

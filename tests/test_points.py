@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geonav import (DensitySpec, EmptyPointSet, PointSet, Rect, TooFewPoints,
-                    load_points, maxball, navmax, nearest_in_sector, r_min,
+from geonav import (DensitySpec, EmptyPointSet, NavSpec, PointSet, Rect, TooFewPoints,
+                    load_points, maxball, navmax, nearest_in_sector, next_stop, r_min,
                     sample_iid, sample_ppp, save_points)
 from geonav.geometry import EPS
 from geonav.points import _dedupe
@@ -228,6 +230,138 @@ def test_nearest_in_sector_exact_tie_break():
     ps = make_set([(1.0, 0.5), (1.0, -0.5)], big)
     got = nearest_in_sector(ps, 0j, 0.0, math.pi / 4, "triangle")
     assert got[0] == 1.0 - 0.5j    # first border sits at angle -pi/4
+
+
+# -- the half-plane: directed-t at theta = pi ------------------------------------
+
+def halfplane_hop(points, apex):
+    """``directed-t`` at ``theta = pi`` with axis 0 from ``apex``: the sector
+    is the half-plane right of the vertical line through the apex."""
+    ps = make_set(points)
+    got = nearest_in_sector(ps, apex, 0.0, math.pi / 2, "triangle")
+    assert got == _as_hop(brute_nearest(ps, apex, 0.0, math.pi / 2, "triangle"), ps)
+    spec = NavSpec(kind="directed-t", theta=math.pi, alpha=0.0)
+    assert next_stop(spec, apex, None, ps) == (apex if got is None else got[0])
+    return got
+
+
+def _as_hop(want, ps):
+    return None if want is None else (complex(*ps.points[want[2]]), want[0], want[2])
+
+
+def test_halfplane_point_on_border_line_has_key_zero():
+    # (0.5, 0.8) sits on the border line, (0.6, 0.5) ahead of it
+    got = halfplane_hop([(0.6, 0.5), (0.5, 0.8), (0.2, 0.5)], 0.5 + 0.5j)
+    assert got == (0.5 + 0.8j, 0.0, 1)
+
+
+def test_halfplane_point_just_behind_border_line_is_inside():
+    # at r = 0.3 the slack is EPS * r = 3e-13: a point 1e-13 behind the line
+    # is inside with a key of about -1e-13, one 3 * EPS * r behind is outside
+    behind = 1e-13
+    got = halfplane_hop([(0.7, 0.5), (0.5 - 3 * EPS * 0.3, 0.2), (0.5 - behind, 0.8)],
+                        0.5 + 0.5j)
+    assert got[2] == 2 and -2 * behind < got[1] < 0.0
+    got = halfplane_hop([(0.5 - 3 * EPS * 0.3, 0.2)], 0.5 + 0.5j)
+    assert got is None
+
+
+def test_halfplane_apex_is_never_a_candidate():
+    # the apex is a stored point with key 0; the hop skips it
+    got = halfplane_hop([(0.5, 0.5), (0.8, 0.6)], 0.5 + 0.5j)
+    assert got == (0.8 + 0.6j, pytest.approx(0.3), 1)
+    assert halfplane_hop([(0.5, 0.5), (0.1, 0.6)], 0.5 + 0.5j) is None
+
+
+# -- pruned sector scans against the brute force --------------------------------
+
+def assert_matches_brute(ps, apex, nu, half, shape, extra):
+    got = nearest_in_sector(ps, apex, nu, half, shape, extra=extra)
+    want = brute_nearest(ps, apex, nu, half, shape, extra)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got[2] == want[2]
+        assert got[1] == pytest.approx(want[0])
+
+
+def cell_apexes(ps, rng, count):
+    """Apexes on cell corners, on vertical and on horizontal cell borders."""
+    idx = ps.index
+    rect = ps.density.domain
+    out = []
+    for q in range(count):
+        x = rect.x0 + int(rng.integers(0, idx.nx + 1)) * idx.cell
+        y = rect.y0 + int(rng.integers(0, idx.ny + 1)) * idx.cell
+        if q % 3 == 1:
+            y = rng.uniform(rect.y0, rect.y1)
+        elif q % 3 == 2:
+            x = rng.uniform(rect.x0, rect.x1)
+        out.append(complex(min(x, rect.x1), min(y, rect.y1)))
+    return out
+
+
+def test_nearest_in_sector_pruning_matches_brute_force():
+    """Half-plane triangles, non-convex disks and apexes on the grid lines,
+    on a clustered set and on a sparse one (cells sized for 250 times more
+    points, so the scan reads wide annuli of empty cells)."""
+    rng = np.random.default_rng(14)
+    sparse = PointSet(rng.random((40, 2)), UNIT, 0, ("iid", 250_000))
+    assert sparse.index.nx == 500
+    for ps in (sample_ppp(BUMP, 1500, seed=15), sparse):
+        for q, apex in enumerate(cell_apexes(ps, rng, 48)):
+            nu = rng.uniform(0, 2 * math.pi) if q % 4 else (q // 4 % 4) * math.pi / 2
+            if q % 2:
+                shape, half = "disk", rng.uniform(math.pi / 2, 3.0)
+            else:
+                shape, half = "triangle", math.pi / 2
+            for extra in (None, complex(*rng.random(2))):
+                assert_matches_brute(ps, apex, nu, half, shape, extra)
+
+
+def test_nearest_in_sector_tie_in_pruned_batch_survives():
+    # cells of 0.01; both points have key 0.53 - 0.5 in the half-plane ahead
+    # of x = 0.5.  The first is 40 rings out, in a cell whose lower key
+    # bound (its left edge) equals the key found in the first rings, so the
+    # pruning must keep it; it wins the tie on its border distance.
+    x = 53 * 0.01
+    ps = PointSet(np.array([(x, 0.1), (x, 0.49)]), UNIT, 0, ("iid", 10_000))
+    assert ps.index.cell == 0.01 and ps.index.cell_of(x, 0.1) == (53, 10)
+    got = nearest_in_sector(ps, 0.5 + 0.5j, 0.0, math.pi / 2, "triangle")
+    want = brute_nearest(ps, 0.5 + 0.5j, 0.0, math.pi / 2, "triangle")
+    assert want[2] == 0 and got == (x + 0.1j, want[0], 0)
+
+
+def test_nearest_in_sector_stop_rule_ring_by_ring_within_a_batch():
+    # half-plane ahead of x = 0.505, cells of 0.01: A (ring 0) sits 1e-15
+    # behind the line, B (ring 2, the same batch) 1e-14 behind, both within
+    # EPS * r.  The stop rule reads the best key of the rings before each
+    # ring; after ring 0 it is negative, so the scan ends before ring 1 and
+    # returns A, as a ring-at-a-time scan does.
+    ps = PointSet(np.array([(0.505 - 1e-15, 0.507), (0.505 - 1e-14, 0.525)]), UNIT, 0,
+                  ("iid", 10_000))
+    apex = 0.505 + 0.505j
+    assert ps.index.cell_of(apex.real, apex.imag) == (50, 50)
+    assert [ps.index.cell_of(x, y)[1] for x, y in ps.points] == [50, 52]
+    got = nearest_in_sector(ps, apex, 0.0, math.pi / 2, "triangle")
+    assert got[2] == 0 and got[1] < 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(pts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=60),
+       rate=st.sampled_from([1, 100, 10_000]),
+       apex=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       nu=st.floats(0.0, 2 * math.pi),
+       query=st.one_of(
+           st.tuples(st.just("triangle"), st.just(math.pi / 2) | st.floats(0.01, math.pi / 2)),
+           st.tuples(st.just("disk"), st.floats(0.01, 3.0))),
+       extra=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_nearest_in_sector_property(pts, rate, apex, nu, query, extra):
+    # the cell is sized for ``rate`` points, so sets are dense or sparse
+    ps = PointSet(np.array(pts, dtype=float).reshape(-1, 2), UNIT, 0, ("iid", rate))
+    shape, half = query
+    assert_matches_brute(ps, complex(*apex), nu, half, shape,
+                         None if extra is None else complex(*extra))
 
 
 # -- diagnostics ----------------------------------------------------------------
