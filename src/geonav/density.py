@@ -126,9 +126,37 @@ class DensitySpec:
         u2 = np.clip(r2 / (rad * rad), 0.0, 1.0)
         return base + amp * (1.0 - u2) ** 2
 
+    def scalar(self):
+        """f(x, y) on Python floats, equal bit for bit to
+        ``float(self.value(x, y))``.
+
+        This is the per-step rule of the Euler walks, built on each call so
+        the frozen spec stays picklable and keeps its equality.  The squares
+        are written ``**2`` as on numpy's 0-d path, which calls libm ``pow``:
+        on some platforms that rounds differently from ``d*d`` (numpy's array
+        path), so ``value`` on arrays may differ in the last bit.
+        """
+        if self.kind == "constant":
+            c = float(self.params[0])
+            return lambda x, y: c
+        if self.kind == "affine":
+            a, b, c = map(float, self.params)
+            return lambda x, y: a + b * x + c * y
+        cx, cy, base, amp, rad = map(float, self.params)
+        rad2 = rad * rad
+
+        def bump(x, y):
+            # a sum of squares over rad2 > 0: only the upper clip can act
+            u2 = ((x - cx) ** 2 + (y - cy) ** 2) / rad2
+            if u2 > 1.0:
+                u2 = 1.0
+            return base + amp * (1.0 - u2) ** 2
+
+        return bump
+
     def at(self, p) -> float:
         z = as_point(p)
-        return float(self.value(z.real, z.imag))
+        return self.scalar()(z.real, z.imag)
 
     def _compute_bounds(self):
         d = self.domain

@@ -408,38 +408,51 @@ def euler_solve(spec: OdeSpec, stop) -> LimitCurve:
     """
     dens = spec.density
     dom = dens.domain
+    f_at = dens.scalar()
+    start = spec.start
     e = complex(math.cos(spec.nu), math.sin(spec.nu))
     with_cost = spec.cost_q is not None
+    fixed = isinstance(stop, FixedTime)
+    hitting = isinstance(stop, HitPoint)
+    leaving = isinstance(stop, LeaveInset)
+    lam = spec.lam
+    h_step = spec.h
+    t_end = stop.t_end if fixed else 0.0
+    if with_cost:
+        cost_q = spec.cost_q
+        half_g = spec.cost_g / 2.0
     times = [0.0]
-    pos = [spec.start]
+    pos = [start]
     cost = [0.0] if with_cost else None
+    c = 0.0
     hit = None
 
-    if isinstance(stop, HitPoint):
+    if hitting:
         target = as_point(stop.target)
-        arc_goal = abs(target - spec.start)
+        arc_goal = abs(target - start)
+        arc_stop = arc_goal - stop.tol
         if arc_goal == 0.0:
-            return LimitCurve(np.zeros(1),
-                              np.array([[spec.start.real, spec.start.imag]]),
+            return LimitCurve(np.zeros(1), np.array([[start.real, start.imag]]),
                               np.zeros(1) if with_cost else None, 0.0)
+    x0, y0, x1, y1 = dom.x0, dom.y0, dom.x1, dom.y1
+    a = dens.inset_a
+    ix0, iy0, ix1, iy1 = x0 + a, y0 + a, x1 - a, y1 - a
     max_iter = 10_000_000
-    z = spec.start
+    z = start
     t = 0.0
     for _ in range(max_iter):
-        if isinstance(stop, FixedTime) and t >= stop.t_end:
+        if fixed and t >= t_end:
             break
-        f = dens.at(z)
-        speed = spec.lam / math.sqrt(f)
-        h = spec.h
-        if isinstance(stop, FixedTime):
-            h = min(h, stop.t_end - t)
+        f = f_at(z.real, z.imag)
+        speed = lam / math.sqrt(f)
+        h = min(h_step, t_end - t) if fixed else h_step
         znew = z + h * speed * e
         if with_cost:
-            dcost = h * spec.cost_q / f ** (spec.cost_g / 2.0)
-        if isinstance(stop, HitPoint):
-            arc_new = abs(znew - spec.start)
-            if arc_new >= arc_goal - stop.tol:
-                arc_old = abs(z - spec.start)
+            dcost = h * cost_q / f ** half_g
+        if hitting:
+            arc_new = abs(znew - start)
+            if arc_new >= arc_stop:
+                arc_old = abs(z - start)
                 frac = 1.0 if arc_new == arc_old else \
                     (arc_goal - arc_old) / (arc_new - arc_old)
                 frac = min(max(frac, 0.0), 1.0)
@@ -448,11 +461,14 @@ def euler_solve(spec: OdeSpec, stop) -> LimitCurve:
                 times.append(t)
                 pos.append(z)
                 if with_cost:
-                    cost.append(cost[-1] + frac * dcost)
+                    c += frac * dcost
+                    cost.append(c)
                 hit = t
                 break
-        if not dom.contains(znew):
-            if isinstance(stop, LeaveInset):
+        zx = znew.real
+        zy = znew.imag
+        if not (x0 <= zx <= x1 and y0 <= zy <= y1):
+            if leaving:
                 # keep the exiting iterate only if it is still in the rectangle
                 break
             raise StepOutOfDomain(f"iterate left the domain at t={t + h:g}")
@@ -461,12 +477,13 @@ def euler_solve(spec: OdeSpec, stop) -> LimitCurve:
         times.append(t)
         pos.append(z)
         if with_cost:
-            cost.append(cost[-1] + dcost)
-        if isinstance(stop, LeaveInset) and not dom.contains(z, dens.inset_a):
+            c += dcost
+            cost.append(c)
+        if leaving and not (ix0 <= zx <= ix1 and iy0 <= zy <= iy1):
             break
     else:
         raise StepOutOfDomain("no stop condition met within the iteration budget")
-    arr = np.array([[p.real, p.imag] for p in pos])
+    arr = np.array(pos, dtype=np.complex128).view(np.float64).reshape(-1, 2)
     return LimitCurve(np.asarray(times), arr,
                       np.asarray(cost) if with_cost else None, hit)
 
@@ -483,12 +500,14 @@ def hit_time(lam: float, s, t, density: DensitySpec, h: float) -> float:
         return 0.0
     if not (density.domain.contains(s) and density.domain.contains(t)):
         raise SegmentLeavesDomain("segment endpoints must lie in the domain")
+    f_at = density.scalar()
     e = (t - s) / abs(t - s)
     goal = abs(t - s)
     arc = 0.0
     time = 0.0
     while True:
-        speed = lam / math.sqrt(density.at(s + arc * e))
+        p = s + arc * e
+        speed = lam / math.sqrt(f_at(p.real, p.imag))
         step = h * speed
         if arc + step >= goal:
             return time + h * (goal - arc) / step

@@ -140,9 +140,14 @@ def _dedupe(rng, pts: np.ndarray, draw_one) -> np.ndarray:
     """Redraw rows until all points are distinct (float-collision guard).
 
     The sort is stable, so of equal rows the one with the smallest index
-    stays and the others are redrawn in index order.
+    stays and the others are redrawn in index order.  A round first sorts x
+    alone: if no two x values are equal, no two rows are, and the two-key
+    sort is skipped.
     """
     while len(pts) > 1:
+        xs = np.sort(pts[:, 0])
+        if not (xs[1:] == xs[:-1]).any():
+            break
         order = np.lexsort((pts[:, 1], pts[:, 0]))
         x = pts[order, 0]
         y = pts[order, 1]

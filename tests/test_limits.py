@@ -421,3 +421,96 @@ def test_weighted_length_equality_iff_on_bisector():
     off = _c.rect(0.5, 2 * math.pi / 6 + 0.2)
     assert weighted_gamma_length(0j, on, 1, 1, cross) == pytest.approx(0.5)
     assert weighted_gamma_length(0j, off, 1, 1, cross) > 0.5 + 1e-6
+
+
+# -- golden predictions ----------------------------------------------------------------
+# The values below were recorded before the Euler loops were rewritten on
+# scalar floats; every later rewrite of the prediction path (such as fusing
+# the walks of one pair) must reproduce them exactly, since the harness CSV
+# prints them with repr.
+
+GOLDEN_DENSITIES = {
+    "affine": DensitySpec.affine(1.0, 0.8, -0.3),
+    "bump": DensitySpec.radial_bump((0.5, 0.5), 0.5, 1.5, 0.3),
+}
+GOLDEN_PAIRS = {
+    "affine": [(0.2 + 0.3j, 0.7 + 0.6j), (0.8 + 0.2j, 0.35 + 0.75j),
+               (0.6 + 0.85j, 0.25 + 0.15j)],
+    "bump": [(0.15 + 0.5j, 0.85 + 0.55j), (0.3 + 0.2j, 0.6 + 0.8j),
+             (0.8 + 0.7j, 0.2 + 0.3j)],
+}
+
+
+def golden_record(dens, s, t, kind):
+    """repr of every number the harness takes from one pair's predictions,
+    at the library's default Euler step: length, nb, the curve's end point,
+    step count, end time and hit time, and the costs at g = 0, 1, 2."""
+    if kind == "t":
+        length, nb, curve = predict_cross(kind, 6, s, t, dens)
+    else:
+        length, nb, curve = predict_straight(kind, math.pi / 3, s, t, dens)
+    costs = [predict_cost(kind, math.pi / 3, g, s, t, dens,
+                          p_theta=6 if kind == "t" else None)
+             for g in (0.0, 1.0, 2.0)]
+    return (repr(float(length)), repr(float(nb)), repr(curve.end_position),
+            len(curve.times), repr(float(curve.times[-1])),
+            repr(float(curve.hit_time)), tuple(repr(float(c)) for c in costs))
+
+
+GOLDEN = {
+    ("affine", 0, "straight-t"): (
+        "0.6140361704807901", "0.5529482663153547", "(0.7000000000000008+0.5999999999999984j)",
+        3911, "0.5529482663153567", "0.5529482663153567",
+        ("0.5529482663153567", "0.6140361704807915", "0.8710554384839718")),
+    ("affine", 0, "t"): (
+        "0.7089275939690075", "0.637562945066474", "(0.7000000000000002+0.5999999999999995j)",
+        4511, "0.6375629450664759", "0.6375629450664759",
+        ("0.6375629450664759", "0.7089275939690107", "1.0070443918200227")),
+    ("affine", 1, "straight-t"): (
+        "0.7483421115699506", "0.6982006618779538", "(0.35000000000000125+0.7500000000000011j)",
+        4939, "0.6982006618779536", "0.6982006618779536",
+        ("0.6982006618779536", "0.7483421115699526", "1.0266963193897591")),
+    ("affine", 1, "t"): (
+        "0.8082710281122079", "0.7558759970491009", "(0.3499999999999998+0.7499999999999997j)",
+        5347, "0.7558759970490987", "0.7558759970490987",
+        ("0.7558759970490987", "0.8082710281122045", "1.106269636328893")),
+    ("affine", 2, "straight-t"): (
+        "0.8241524281281922", "0.7319591609974003", "(0.24999999999999695+0.15000000000000147j)",
+        5177, "0.7319591609973993", "0.7319591609973993",
+        ("0.7319591609973993", "0.8241524281281926", "1.1839085874725348")),
+    ("affine", 2, "t"): (
+        "0.8511809677005052", "0.7499521687646987", "(0.25+0.15j)",
+        5305, "0.7499521687646991", "0.7499521687646991",
+        ("0.7499521687646991", "0.8511809677005082", "1.2326379365928164")),
+    ("bump", 0, "straight-t"): (
+        "0.7390224190450688", "0.6318248092312478", "(0.8499999999999985+0.5500000000000209j)",
+        4469, "0.6318248092312393", "0.6318248092312393",
+        ("0.6318248092312393", "0.7390224190450758", "1.1800527142775656")),
+    ("bump", 0, "t"): (
+        "0.7675436615214771", "0.6514224129374898", "(0.8499999999999953+0.5500000000000081j)",
+        4608, "0.6514224129374866", "0.6514224129374866",
+        ("0.6514224129374866", "0.7675436615214704", "1.2379478404572337")),
+    ("bump", 1, "straight-t"): (
+        "0.706416366967022", "0.6064931716412308", "(0.5999999999999978+0.8000000000000013j)",
+        4290, "0.606493171641227", "0.606493171641227",
+        ("0.606493171641227", "0.7064163669670286", "1.118035718019401")),
+    ("bump", 1, "t"): (
+        "0.7295836866004329", "0.6273466540845992", "(0.6+0.8j)",
+        4438, "0.6273466540846018", "0.6273466540846018",
+        ("0.6273466540846018", "0.7295836866004382", "1.1565839272065335")),
+    ("bump", 2, "straight-t"): (
+        "0.7593747770806379", "0.6465318703005697", "(0.20000000000000007+0.2999999999999998j)",
+        4573, "0.6465318703005605", "0.6465318703005605",
+        ("0.6465318703005605", "0.7593747770806429", "1.2205362839648155")),
+    ("bump", 2, "t"): (
+        "0.8750325689828237", "0.7425178227987255", "(0.19999999999999715+0.3000000000000048j)",
+        5252, "0.7425178227987254", "0.7425178227987254",
+        ("0.7425178227987254", "0.8750325689828421", "1.4099228999051425")),
+}
+
+
+@pytest.mark.parametrize("name,k", [(name, k) for name in GOLDEN_PAIRS for k in range(3)])
+def test_predictions_match_golden_values(name, k):
+    s, t = GOLDEN_PAIRS[name][k]
+    for kind in ("straight-t", "t"):
+        assert golden_record(GOLDEN_DENSITIES[name], s, t, kind) == GOLDEN[(name, k, kind)]

@@ -164,6 +164,21 @@ def test_dedupe_matches_unique_rule():
                           np.delete(pts, [7, 19, 33, 41, 50], axis=0))
 
 
+def test_dedupe_keeps_rows_that_share_only_x():
+    # equal x values pass the one-key screen, and the two-key rule then finds
+    # that their y values differ, so nothing is redrawn
+    rng = np.random.default_rng(9)
+    pts = rng.random((40, 2))
+    pts[[5, 17, 30], 0] = pts[2, 0]
+    pts[21, 0] = pts[8, 0]
+
+    def never(_rng):
+        raise AssertionError("no row should be redrawn")
+
+    got = _dedupe(rng, pts.copy(), never)
+    assert np.array_equal(got, pts)
+
+
 # -- grid index -----------------------------------------------------------------
 
 def test_index_partitions_ids():
@@ -527,6 +542,61 @@ def test_density_spec_invariants():
     # normalized profile integrates to 1
     norm = bump.normalized()
     assert norm.integral == pytest.approx(1.0)
+
+
+def _scalar_matches_value(dens, x, y):
+    got = dens.scalar()(x, y)
+    assert type(got) is float
+    assert got == float(dens.value(x, y))
+    assert got == dens.at(complex(x, y))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(c=st.floats(1e-3, 1e3), x=st.floats(-1.0, 2.0), y=st.floats(-1.0, 2.0))
+def test_scalar_density_constant(c, x, y):
+    _scalar_matches_value(DensitySpec.constant(c), x, y)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(margin=st.floats(1e-3, 5.0), b=st.floats(-5.0, 5.0), c=st.floats(-5.0, 5.0),
+       x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0))
+def test_scalar_density_affine(margin, b, c, x, y):
+    # a is chosen so the profile stays positive on the unit square
+    a = margin + max(0.0, -b) + max(0.0, -c)
+    _scalar_matches_value(DensitySpec.affine(a, b, c), x, y)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cx=st.floats(0.3, 0.7), cy=st.floats(0.3, 0.7), rad=st.floats(1e-3, 0.3),
+       base=st.floats(0.1, 5.0), amp_frac=st.floats(-0.99, 5.0),
+       # the centre, the rim and outside the disk: both sides of the clip
+       u=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 2.0)),
+       ang=st.floats(0.0, 2.0 * math.pi))
+def test_scalar_density_bump(cx, cy, rad, base, amp_frac, u, ang):
+    dens = DensitySpec.radial_bump((cx, cy), base, amp_frac * base, rad)
+    x = cx + u * rad * math.cos(ang)
+    y = cy + u * rad * math.sin(ang)
+    _scalar_matches_value(dens, x, y)
+
+
+def test_scalar_density_bump_dense():
+    # where libm pow and a product round a square differently (a few in 1e4
+    # on some platforms), only the 0-d rule of ``value`` is matched
+    rng = np.random.default_rng(3)
+    f = BUMP.scalar()
+    for x, y in (0.5 + rng.uniform(-0.31, 0.31, (20_000, 2))).tolist():
+        assert f(x, y) == float(BUMP.value(x, y))
+
+
+def test_scalar_density_leaves_spec_picklable_and_equal():
+    import pickle
+    for dens in (UNIT, BUMP, DensitySpec.affine(1.0, -0.5, 0.25)):
+        twin = DensitySpec.from_dict(dens.to_dict())
+        dens.scalar()
+        dens.at(0.5 + 0.5j)
+        back = pickle.loads(pickle.dumps(dens))
+        assert back == dens == twin
+        assert hash(back) == hash(dens) == hash(twin)
 
 
 # -- serialization -----------------------------------------------------------------
