@@ -17,8 +17,8 @@ from .geometry import (CrossParams, SectorFrame, as_point, border_distance,
                        in_decision_domain, sector_index, weighted_gamma_length)
 from .harness import (ExperimentConfig, ResultRow, generate_pairs,
                       render_svg, run_experiment, summarize)
-from .limits import (ConstantsRow, FixedTime, HitPoint, LeaveInset, LimitCurve,
-                     OdeSpec, constants, euler_solve, hit_time, mc_constants,
+from .limits import (ConstantsRow, FixedTime, HitPoint, LimitCurve, OdeSpec,
+                     constants, euler_solve, hit_time, mc_constants,
                      predict_cost, predict_cross, predict_straight)
 from .navigation import (CostReport, NavKind, NavSpec, PathRecord, costs,
                          next_stop, run, run_directed, stage_samples)

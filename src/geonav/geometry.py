@@ -102,10 +102,16 @@ def sector_index(s, t, cross: CrossParams) -> int:
     t = as_point(t)
     if s == t:
         raise DegeneratePair("sector_index needs s != t")
-    theta = cross.theta
-    ang = norm_angle(cmath.phase(t - s))
+    return sector_of_angle(cmath.phase(t - s), cross.theta, cross.p_theta)
+
+
+def sector_of_angle(ang: float, theta: float, p_theta: int) -> int:
+    """Index ``k`` of the sector of angle ``theta`` (bisector ``k*theta``,
+    ``0 <= k < p_theta``) containing the direction ``ang``, the sector
+    rule of ``sector_index`` and of the cross kinds' aim."""
+    ang = norm_angle(ang)
     k = math.floor(ang / theta + 0.5)
-    if k >= cross.p_theta:
+    if k >= p_theta:
         k = 0
     # Exactly on the first border of sector k: the point is shared with
     # sector k-1, which has the smaller index (except across the 0 wrap,

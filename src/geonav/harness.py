@@ -53,6 +53,14 @@ class ExperimentConfig:
     svg_path: str | None = None
 
     def __post_init__(self):
+        for name in ("euler_h", "hausdorff_resolution", "navmax_grid_step", "grid_step"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ConfigError(f"{name} must be > 0, got {value!r}")
+        if not all(g >= 0.0 for g in self.exponents):
+            raise ConfigError(f"exponents must be >= 0, got {self.exponents!r}")
+        if self.max_pairs < 1:
+            raise ConfigError(f"max_pairs must be >= 1, got {self.max_pairs!r}")
         # directed kinds are refused by run_experiment: they have no target
         if self.nav.kind not in DIRECTED_KINDS:
             try:
@@ -113,7 +121,7 @@ def generate_pairs(config: ExperimentConfig) -> list:
         if not pairs:
             raise NoValidPairs("no explicit pair passes the inset filter")
         return pairs
-    if config.grid_step is None or config.grid_step <= 0.0:
+    if config.grid_step is None:
         raise NoValidPairs("need either explicit pairs or a positive grid_step")
     dom = dens.domain
     a = dens.inset_a
@@ -185,6 +193,7 @@ def _predictions(config: ExperimentConfig, pairs):
     """Per-pair limit predictions; independent of n and seed."""
     nav = config.nav
     dens = config.density
+    exponents = tuple(float(g) for g in config.exponents)
     preds = []
     for s, t in pairs:
         if nav.kind in CROSS_KINDS:
@@ -195,20 +204,23 @@ def _predictions(config: ExperimentConfig, pairs):
             length, nb, curve = predict_straight(nav.kind, nav.theta, s, t, dens,
                                                  h=config.euler_h)
             poly = [s, t]
-        pc = {}
-        for g in config.exponents:
-            pc[float(g)] = predict_cost(nav.kind, nav.theta, float(g), s, t, dens,
-                                        h=config.euler_h, p_theta=nav.p_theta)
+        pc = dict(zip(exponents, predict_cost(nav.kind, nav.theta, exponents, s, t, dens,
+                                              h=config.euler_h, p_theta=nav.p_theta)))
         preds.append((length, nb, curve, poly, pc))
     return preds
+
+
+def _cell_seed(config: ExperimentConfig, n_idx: int, seed_idx: int) -> int:
+    """Sampling seed of one (n, seed) cell, from its spawn key alone, so a
+    cell draws the same points in any execution order."""
+    return int(np.random.SeedSequence(config.master_seed,
+                                      spawn_key=(n_idx, seed_idx)).generate_state(1)[0])
 
 
 def _run_cell(config: ExperimentConfig, n_idx: int, seed_idx: int,
               pairs, preds) -> list:
     n = config.n_values[n_idx]
-    seed = int(np.random.SeedSequence(config.master_seed,
-                                      spawn_key=(n_idx, seed_idx)).generate_state(1)[0])
-    ps = sample_ppp(config.density, n, seed)
+    ps = sample_ppp(config.density, n, _cell_seed(config, n_idx, seed_idx))
     nm_step = config.navmax_grid_step or max(4.0 / math.sqrt(n * config.density.M_f), 0.02)
     nm = navmax(ps, config.nav.theta, nm_step) if len(ps) else float("nan")
     rows = []
@@ -262,10 +274,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
             json.dump(summarize(rows), fh, indent=2, sort_keys=True)
     if config.svg_path:
         i, j = cells[-1]
-        n = config.n_values[i]
-        seed = int(np.random.SeedSequence(config.master_seed,
-                                          spawn_key=(i, j)).generate_state(1)[0])
-        ps = sample_ppp(config.density, n, seed)
+        ps = sample_ppp(config.density, config.n_values[i], _cell_seed(config, i, j))
         recs = [run(config.nav, s, t, ps) for s, t in pairs]
         render_svg(config.svg_path, ps=ps, paths=recs,
                    limit_polylines=[p[3] for p in preds])

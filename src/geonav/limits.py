@@ -11,6 +11,15 @@ accumulated power cost follows the coupled equation
 intensity.  This module evaluates the speed/stretch constants, solves the
 flow with an explicit Euler scheme, and combines both into per-pair
 predictions of path length, stage count, and power costs.
+
+One leg rule (``_legs``) gives the shape of every limit trajectory: the
+segment ``[s, t]`` for straight and random-north kinds, or the two legs
+through the corner for cross kinds, each leg with its own ``(lam, q)``
+constants.  ``predict_straight`` and ``predict_cross`` share one body over
+those legs: the length is the sum of ``q * |leg|``, the stage count the sum
+of the legs' hitting times, and the curve the legs' Euler walks glued end to
+end.  ``predict_cost`` walks the same legs once for all exponents, carrying
+one cost accumulator per exponent in ``euler_solve``.
 """
 
 from __future__ import annotations
@@ -26,13 +35,12 @@ import numpy as np
 from .density import DensitySpec
 from .errors import (GammaLeavesInset, OutOfRangeTheta, SegmentLeavesDomain,
                      StepOutOfDomain)
-from .geometry import (CrossParams, as_point, corner_point, gamma_path,
-                       weighted_gamma_length)
+from .geometry import CrossParams, as_point, corner_point, gamma_path
 from .navigation import NavKind, stage_samples
 
 __all__ = [
     "ConstantsRow", "constants", "McConstants", "mc_constants",
-    "OdeSpec", "LimitCurve", "FixedTime", "HitPoint", "LeaveInset",
+    "OdeSpec", "LimitCurve", "FixedTime", "HitPoint",
     "euler_solve", "hit_time", "predict_straight", "predict_cross",
     "predict_cost", "constants_to_json", "check_theta", "limit_path_in_inset",
 ]
@@ -322,23 +330,26 @@ def _write_json_atomic(path, obj) -> None:
 @dataclass(frozen=True)
 class OdeSpec:
     """Flow parameters: speed ``lam`` along direction ``nu`` from ``start``,
-    over the given density; optional coupled power-cost accumulation."""
+    over the given density; optional coupled power costs, one per exponent
+    ``cost_g[k]`` with rate constant ``cost_q[k]``."""
 
     lam: float
     nu: float
     start: complex
     density: DensitySpec
     h: float
-    cost_q: float | None = None
-    cost_g: float | None = None
+    cost_q: tuple = ()
+    cost_g: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "start", as_point(self.start))
+        object.__setattr__(self, "cost_q", tuple(self.cost_q))
+        object.__setattr__(self, "cost_g", tuple(self.cost_g))
         if not self.lam > 0.0:
             raise ValueError("lam must be > 0")
         if not self.h > 0.0:
             raise ValueError("step h must be > 0")
-        if (self.cost_q is None) != (self.cost_g is None):
+        if len(self.cost_q) != len(self.cost_g):
             raise ValueError("cost_q and cost_g go together")
 
 
@@ -354,20 +365,14 @@ class FixedTime:
 @dataclass(frozen=True)
 class HitPoint:
     target: complex
-    tol: float = 0.0
-
-
-@dataclass(frozen=True)
-class LeaveInset:
-    pass
 
 
 @dataclass
 class LimitCurve:
     times: np.ndarray
     positions: np.ndarray        # (m, 2)
-    costs: np.ndarray | None = None
     hit_time: float | None = None
+    end_costs: tuple = ()        # accumulated cost per exponent of the spec
 
     def position_at(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -375,31 +380,19 @@ class LimitCurve:
         py = np.interp(x, self.times, self.positions[:, 1])
         return np.column_stack([px, py])
 
-    def cost_at(self, x) -> np.ndarray:
-        if self.costs is None:
-            raise ValueError("curve carries no cost component")
-        return np.interp(np.atleast_1d(np.asarray(x, dtype=float)),
-                         self.times, self.costs)
-
     @property
     def end_position(self) -> complex:
         return complex(self.positions[-1, 0], self.positions[-1, 1])
 
-    @property
-    def end_cost(self) -> float:
-        return float(self.costs[-1]) if self.costs is not None else 0.0
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("time,x,y,cost\n")
-            for k in range(len(self.times)):
-                c = "" if self.costs is None else repr(float(self.costs[k]))
-                fh.write(f"{float(self.times[k])!r},{float(self.positions[k, 0])!r},"
-                         f"{float(self.positions[k, 1])!r},{c}\n")
+def _point_curve(z: complex, end_costs: tuple = ()) -> LimitCurve:
+    return LimitCurve(np.zeros(1), np.array([[z.real, z.imag]]), 0.0, end_costs)
 
 
 def euler_solve(spec: OdeSpec, stop) -> LimitCurve:
-    """Explicit Euler iterates of the flow with the requested stop rule.
+    """Explicit Euler iterates of the flow up to a ``FixedTime`` or a
+    ``HitPoint``, with every cost of the spec carried in one scalar
+    accumulator per exponent.
 
     The direction is constant, so hitting a point reduces to crossing its
     arc-length offset; the crossing step is shortened by linear
@@ -411,32 +404,21 @@ def euler_solve(spec: OdeSpec, stop) -> LimitCurve:
     f_at = dens.scalar()
     start = spec.start
     e = complex(math.cos(spec.nu), math.sin(spec.nu))
-    with_cost = spec.cost_q is not None
     fixed = isinstance(stop, FixedTime)
-    hitting = isinstance(stop, HitPoint)
-    leaving = isinstance(stop, LeaveInset)
     lam = spec.lam
     h_step = spec.h
     t_end = stop.t_end if fixed else 0.0
-    if with_cost:
-        cost_q = spec.cost_q
-        half_g = spec.cost_g / 2.0
+    rates = [(q, g / 2.0) for q, g in zip(spec.cost_q, spec.cost_g)]
+    cost = [0.0] * len(rates)
     times = [0.0]
     pos = [start]
-    cost = [0.0] if with_cost else None
-    c = 0.0
     hit = None
 
-    if hitting:
-        target = as_point(stop.target)
-        arc_goal = abs(target - start)
-        arc_stop = arc_goal - stop.tol
+    if not fixed:
+        arc_goal = abs(as_point(stop.target) - start)
         if arc_goal == 0.0:
-            return LimitCurve(np.zeros(1), np.array([[start.real, start.imag]]),
-                              np.zeros(1) if with_cost else None, 0.0)
+            return _point_curve(start, tuple(cost))
     x0, y0, x1, y1 = dom.x0, dom.y0, dom.x1, dom.y1
-    a = dens.inset_a
-    ix0, iy0, ix1, iy1 = x0 + a, y0 + a, x1 - a, y1 - a
     max_iter = 10_000_000
     z = start
     t = 0.0
@@ -447,11 +429,9 @@ def euler_solve(spec: OdeSpec, stop) -> LimitCurve:
         speed = lam / math.sqrt(f)
         h = min(h_step, t_end - t) if fixed else h_step
         znew = z + h * speed * e
-        if with_cost:
-            dcost = h * cost_q / f ** half_g
-        if hitting:
+        if not fixed:
             arc_new = abs(znew - start)
-            if arc_new >= arc_stop:
+            if arc_new >= arc_goal:
                 arc_old = abs(z - start)
                 frac = 1.0 if arc_new == arc_old else \
                     (arc_goal - arc_old) / (arc_new - arc_old)
@@ -460,32 +440,23 @@ def euler_solve(spec: OdeSpec, stop) -> LimitCurve:
                 t += frac * h
                 times.append(t)
                 pos.append(z)
-                if with_cost:
-                    c += frac * dcost
-                    cost.append(c)
+                if rates:
+                    cost = [c + frac * (h * q / f ** half_g)
+                            for c, (q, half_g) in zip(cost, rates)]
                 hit = t
                 break
-        zx = znew.real
-        zy = znew.imag
-        if not (x0 <= zx <= x1 and y0 <= zy <= y1):
-            if leaving:
-                # keep the exiting iterate only if it is still in the rectangle
-                break
+        if not (x0 <= znew.real <= x1 and y0 <= znew.imag <= y1):
             raise StepOutOfDomain(f"iterate left the domain at t={t + h:g}")
         z = znew
         t += h
         times.append(t)
         pos.append(z)
-        if with_cost:
-            c += dcost
-            cost.append(c)
-        if leaving and not (ix0 <= zx <= ix1 and iy0 <= zy <= iy1):
-            break
+        if rates:
+            cost = [c + h * q / f ** half_g for c, (q, half_g) in zip(cost, rates)]
     else:
         raise StepOutOfDomain("no stop condition met within the iteration budget")
     arr = np.array(pos, dtype=np.complex128).view(np.float64).reshape(-1, 2)
-    return LimitCurve(np.asarray(times), arr,
-                      np.asarray(cost) if with_cost else None, hit)
+    return LimitCurve(np.asarray(times), arr, hit, tuple(cost))
 
 
 def hit_time(lam: float, s, t, density: DensitySpec, h: float) -> float:
@@ -494,6 +465,8 @@ def hit_time(lam: float, s, t, density: DensitySpec, h: float) -> float:
     Solves the 1-D reduction along the segment with explicit Euler and one
     linear interpolation of the crossing step.
     """
+    if not h > 0.0:
+        raise ValueError("step h must be > 0")
     s = as_point(s)
     t = as_point(t)
     if s == t:
@@ -517,28 +490,6 @@ def hit_time(lam: float, s, t, density: DensitySpec, h: float) -> float:
 
 # -- per-pair predictions ----------------------------------------------------
 
-def predict_straight(kind, theta: float, s, t, density: DensitySpec,
-                     h: float | None = None):
-    """Limit length, stage count over sqrt(n), and position curve for the
-    kinds whose limit trajectory is the segment [s, t] (straight and
-    random-north kinds)."""
-    kind = NavKind(kind)
-    if kind in (NavKind.YAO, NavKind.THETA):
-        raise ValueError("cross kinds use predict_cross")
-    row = constants(kind, theta)
-    s = as_point(s)
-    t = as_point(t)
-    h = h if h is not None else default_step(density)
-    if s == t:
-        curve = LimitCurve(np.zeros(1), np.array([[s.real, s.imag]]), None, 0.0)
-        return 0.0, 0.0, curve
-    limit_length = row.q_bis * abs(t - s)
-    nb = hit_time(row.c_bis, s, t, density, h)
-    curve = euler_solve(OdeSpec(row.c_bis, math.atan2((t - s).imag, (t - s).real),
-                                s, density, h), HitPoint(t))
-    return limit_length, nb, curve
-
-
 # Corners computed from pairs that sit exactly on a sector border carry
 # float dust; the inset rule allows this much of it.
 INSET_SLACK = 1e-9
@@ -549,8 +500,8 @@ def limit_path_in_inset(density: DensitySpec, kind, p_theta: int | None, s, t) -
     segment ``[s, t]``, or the two-leg polyline through the corner for cross
     kinds) stays in the inset domain, up to ``INSET_SLACK``.
 
-    Pair generation filters with it and the cross-kind predictors refuse
-    pairs that fail it, so every generated pair can be predicted.
+    Pair generation filters with it and the leg rule refuses pairs that fail
+    it, so every generated pair can be predicted.
     """
     s = as_point(s)
     t = as_point(t)
@@ -562,9 +513,58 @@ def limit_path_in_inset(density: DensitySpec, kind, p_theta: int | None, s, t) -
     return all(density.domain.contains(p, a) for p in path)
 
 
-def _check_gamma_inset(density: DensitySpec, kind, p_theta: int, s, t) -> None:
+def _legs(kind, theta, p_theta, s, t, density: DensitySpec) -> list:
+    """The limit trajectory from ``s`` to ``t`` as legs ``(a, b, lam, q)``.
+
+    Straight and random-north kinds have the one leg ``[s, t]`` at the
+    bisector constants of ``theta``.  Cross kinds go along the bisector to
+    the corner at ``(c_bis, q_bis)``, then along the border direction to
+    ``t`` at ``(c_bor, q_bor)``, with the sector angle ``2*pi/p_theta``;
+    they raise GammaLeavesInset when that polyline fails the inset rule.
+    Zero-length legs are dropped, so ``s == t`` has none.
+    """
+    kind = NavKind(kind)
+    s = as_point(s)
+    t = as_point(t)
+    if kind not in (NavKind.YAO, NavKind.THETA):
+        row = constants(kind, theta)
+        return [(s, t, row.c_bis, row.q_bis)] if s != t else []
+    if p_theta is None:
+        raise ValueError("cross kinds need p_theta")
+    cross = CrossParams(p_theta)
+    row = constants(kind, cross.theta)
+    if s == t:
+        return []
     if not limit_path_in_inset(density, kind, p_theta, s, t):
         raise GammaLeavesInset("limit polyline exits the inset domain")
+    i = corner_point(s, t, cross)
+    legs = [(s, i, row.c_bis, row.q_bis), (i, t, row.c_bor, row.q_bor)]
+    return [leg for leg in legs if leg[0] != leg[1]]
+
+
+def _leg_spec(leg, density: DensitySpec, h: float, **cost) -> OdeSpec:
+    a, b, lam, _ = leg
+    return OdeSpec(lam, math.atan2((b - a).imag, (b - a).real), a, density, h, **cost)
+
+
+def _predict_path(legs, s, density: DensitySpec, h: float | None):
+    if not legs:
+        return 0.0, 0.0, _point_curve(as_point(s))
+    h = h if h is not None else default_step(density)
+    length = sum(q * abs(b - a) for a, b, _, q in legs)
+    nb = sum(hit_time(lam, a, b, density, h) for a, b, lam, _ in legs)
+    curves = [euler_solve(_leg_spec(leg, density, h), HitPoint(leg[1])) for leg in legs]
+    return length, nb, _glue(curves)
+
+
+def predict_straight(kind, theta: float, s, t, density: DensitySpec,
+                     h: float | None = None):
+    """Limit length, stage count over sqrt(n), and position curve for the
+    kinds whose limit trajectory is the segment [s, t] (straight and
+    random-north kinds)."""
+    if NavKind(kind) in (NavKind.YAO, NavKind.THETA):
+        raise ValueError("cross kinds use predict_cross")
+    return _predict_path(_legs(kind, theta, None, s, t, density), s, density, h)
 
 
 def predict_cross(kind, p_theta: int, s, t, density: DensitySpec,
@@ -572,32 +572,9 @@ def predict_cross(kind, p_theta: int, s, t, density: DensitySpec,
     """Limit length, stage count over sqrt(n), and glued two-phase position
     curve for the cross kinds (first leg along the sector bisector, second
     along the border direction through the corner)."""
-    kind = NavKind(kind)
-    if kind not in (NavKind.YAO, NavKind.THETA):
+    if NavKind(kind) not in (NavKind.YAO, NavKind.THETA):
         raise ValueError("predict_cross is only for cross kinds")
-    cross = CrossParams(p_theta)
-    theta = cross.theta
-    row = constants(kind, theta)
-    s = as_point(s)
-    t = as_point(t)
-    h = h if h is not None else default_step(density)
-    if s == t:
-        curve = LimitCurve(np.zeros(1), np.array([[s.real, s.imag]]), None, 0.0)
-        return 0.0, 0.0, curve
-    i = corner_point(s, t, cross)
-    _check_gamma_inset(density, kind, p_theta, s, t)
-    limit_length = weighted_gamma_length(s, t, row.q_bis, row.q_bor, cross)
-    t1 = hit_time(row.c_bis, s, i, density, h) if i != s else 0.0
-    t2 = hit_time(row.c_bor, i, t, density, h) if i != t else 0.0
-    curves = []
-    if i != s:
-        curves.append(euler_solve(OdeSpec(row.c_bis, math.atan2((i - s).imag, (i - s).real),
-                                          s, density, h), HitPoint(i)))
-    if i != t:
-        curves.append(euler_solve(OdeSpec(row.c_bor, math.atan2((t - i).imag, (t - i).real),
-                                          i, density, h), HitPoint(t)))
-    curve = _glue(curves)
-    return limit_length, t1 + t2, curve
+    return _predict_path(_legs(kind, None, p_theta, s, t, density), s, density, h)
 
 
 def _glue(curves) -> LimitCurve:
@@ -607,48 +584,30 @@ def _glue(curves) -> LimitCurve:
     shift = a.times[-1]
     times = np.concatenate([a.times, shift + b.times[1:]])
     positions = np.vstack([a.positions, b.positions[1:]])
-    costs = None
-    if a.costs is not None and b.costs is not None:
-        costs = np.concatenate([a.costs, a.costs[-1] + b.costs[1:]])
-    return LimitCurve(times, positions, costs, shift + (b.hit_time or 0.0))
+    return LimitCurve(times, positions, shift + (b.hit_time or 0.0))
 
 
-def predict_cost(kind, theta: float, g: float, s, t, density: DensitySpec,
+def predict_cost(kind, theta: float, exponents, s, t, density: DensitySpec,
                  h: float | None = None, p_theta: int | None = None,
-                 moment_cache=None) -> float:
-    """Limiting ``sum |hop|^g`` over ``n^{(1-g)/2}`` for one pair.
+                 moment_cache=None) -> tuple:
+    """Limiting ``sum |hop|^g`` over ``n^{(1-g)/2}`` for one pair, one value
+    per exponent g in ``exponents``.
 
-    Integrates the coupled cost equation along the limit trajectory with
-    ``q = E(|hop|^g)`` at unit intensity (per phase for cross kinds);
-    reduces exactly to the stage-count prediction at g=0 and to the length
-    prediction at g=1.
+    Walks each leg once, integrating the coupled cost equation of every
+    exponent with ``q = E(|hop|^g)`` at unit intensity (at the sector angle
+    ``2*pi/p_theta`` when ``p_theta`` is given); reduces exactly to the
+    stage-count prediction at g=0 and to the length prediction at g=1.
     """
-    kind = NavKind(kind)
-    s = as_point(s)
-    t = as_point(t)
-    if s == t:
-        return 0.0
+    exponents = tuple(float(g) for g in exponents)
+    legs = _legs(kind, theta, p_theta, s, t, density)
+    if not (legs and exponents):
+        return (0.0,) * len(exponents)
     h = h if h is not None else default_step(density)
-    q, _ = hop_moment(kind, theta if p_theta is None else 2.0 * math.pi / p_theta,
-                      g, cache_path=moment_cache)
-    if kind in (NavKind.YAO, NavKind.THETA):
-        if p_theta is None:
-            raise ValueError("cross kinds need p_theta")
-        cross = CrossParams(p_theta)
-        row = constants(kind, cross.theta)
-        i = corner_point(s, t, cross)
-        _check_gamma_inset(density, kind, p_theta, s, t)
-        total = 0.0
-        if i != s:
-            c1 = euler_solve(OdeSpec(row.c_bis, math.atan2((i - s).imag, (i - s).real),
-                                     s, density, h, cost_q=q, cost_g=g), HitPoint(i))
-            total += c1.end_cost
-        if i != t:
-            c2 = euler_solve(OdeSpec(row.c_bor, math.atan2((t - i).imag, (t - i).real),
-                                     i, density, h, cost_q=q, cost_g=g), HitPoint(t))
-            total += c2.end_cost
-        return total
-    row = constants(kind, theta)
-    curve = euler_solve(OdeSpec(row.c_bis, math.atan2((t - s).imag, (t - s).real),
-                                s, density, h, cost_q=q, cost_g=g), HitPoint(t))
-    return curve.end_cost
+    angle = theta if p_theta is None else 2.0 * math.pi / p_theta
+    qs = tuple(hop_moment(kind, angle, g, cache_path=moment_cache)[0] for g in exponents)
+    totals = [0.0] * len(exponents)
+    for leg in legs:
+        curve = euler_solve(_leg_spec(leg, density, h, cost_q=qs, cost_g=exponents),
+                            HitPoint(leg[1]))
+        totals = [c + leg_cost for c, leg_cost in zip(totals, curve.end_costs)]
+    return tuple(totals)

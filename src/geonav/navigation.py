@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import EPS, TWO_PI, as_point, norm_angle
+from .geometry import EPS, TWO_PI, as_point, sector_of_angle
 from .points import PointSet, nearest_in_sector
 
 __all__ = [
@@ -200,13 +200,7 @@ def _aim(spec: NavSpec, pos: complex, pos_id: int, t: complex | None,
     offset = 0.0
     if kind in NORTH_KINDS:
         offset = float(norths[pos_id] if pos_id >= 0 else norths[-1])
-    ang = norm_angle(cmath.phase(d) - offset)
-    k = math.floor(ang / theta + 0.5)
-    if k >= spec.p_theta:
-        k = 0
-    if k >= 1 and abs(ang - (k - 0.5) * theta) <= EPS:
-        k -= 1
-    return offset + k * theta
+    return offset + sector_of_angle(cmath.phase(d) - offset, theta, spec.p_theta) * theta
 
 
 def _hop(spec: NavSpec, pos: complex, pos_id: int, t: complex | None,

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -146,6 +147,20 @@ def test_experiment_missing_key_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "experiment", "--config", cfg)
     assert code == 1
     assert "n_values" in err
+
+
+@pytest.mark.parametrize("change", [
+    {"euler_h": 0.0}, {"euler_h": -0.001}, {"hausdorff_resolution": 0.0},
+    {"navmax_grid_step": -0.1}, {"grid_step": 0.0, "pairs": None},
+    {"exponents": [0.0, -1.0]}, {"max_pairs": 0}])
+def test_experiment_invalid_value_is_config_error(tmp_path, capsys, change):
+    # refused when the config is read, before any sampling or prediction
+    cfg = write_config(tmp_path, **change)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "experiment", "--config", cfg)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and next(iter(change)) in err
 
 
 def test_diagnose_points_without_header_is_config_error(tmp_path, capsys):

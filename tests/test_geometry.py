@@ -8,7 +8,7 @@ from geonav import CrossParams, DegeneratePair
 from geonav.geometry import (SectorFrame, border_distance, corner_point,
                              gamma_path, hausdorff_distance,
                              in_decision_domain, norm_angle, sector_index,
-                             weighted_gamma_length)
+                             sector_of_angle, weighted_gamma_length)
 
 DEG = math.pi / 180.0
 
@@ -66,6 +66,20 @@ def test_sector_index_border_tie_prefers_smaller():
     # on the wrap border (angle 2*pi - theta/2) the smaller index is 0
     t = cmath.rect(2.0, 2.0 * math.pi - math.pi / 6)
     assert sector_index(0j, t, CrossParams(6)) == 0
+
+
+def test_sector_of_angle_takes_any_angle():
+    # the rule the cross kinds aim with: angles are reduced to [0, 2*pi)
+    # first, and a border angle goes to the smaller index
+    theta = math.pi / 3
+    assert sector_of_angle(math.pi / 6, theta, 6) == 0
+    assert sector_of_angle(math.pi / 6 + 1e-9, theta, 6) == 1
+    assert sector_of_angle(-math.pi / 6, theta, 6) == 0
+    assert sector_of_angle(-math.pi / 6 - 1e-9, theta, 6) == 5
+    assert sector_of_angle(4 * math.pi + 2 * theta, theta, 6) == 2
+    rng = np.random.default_rng(5)
+    for z in rng.normal(size=50) + 1j * rng.normal(size=50):
+        assert sector_of_angle(cmath.phase(z), theta, 6) == sector_index(0j, z, CrossParams(6))
 
 
 def test_sector_index_degenerate():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -271,3 +272,44 @@ def test_config_roundtrip_from_json(tmp_path):
     assert cfg.density.kind == "affine"
     rows = run_experiment(cfg)
     assert len(rows) == 1 and rows[0].success
+
+
+# -- golden CSVs ----------------------------------------------------------------------
+# SHA-256 of harness CSVs recorded before each limit prediction walked its
+# legs once for all exponents.  The CSV prints every simulated and predicted
+# number with repr, so any change to sampling, runs or the Euler walks shows.
+
+AFFINE = DensitySpec.affine(1.0, 0.8, -0.3)
+BUMP = DensitySpec.radial_bump((0.5, 0.5), 0.5, 1.5, 0.3)
+GOLDEN_CSV_CONFIGS = {
+    "straight-t-affine": dict(
+        density=AFFINE, nav=NavSpec(kind=NavKind.STRAIGHT_THETA, theta=math.pi / 3),
+        pairs=((0.2 + 0.3j, 0.7 + 0.6j), (0.8 + 0.2j, 0.35 + 0.75j)), euler_h=None),
+    "t-affine": dict(
+        density=AFFINE, nav=NavSpec(kind=NavKind.THETA, p_theta=6),
+        pairs=((0.2 + 0.3j, 0.7 + 0.6j), (0.8 + 0.2j, 0.35 + 0.75j)), euler_h=None),
+    "yao-bump-grid": dict(
+        density=BUMP, nav=NavSpec(kind=NavKind.YAO, p_theta=6), pairs=None,
+        grid_step=0.1, max_pairs=6, euler_h=None),
+    "random-north-t-bump-grid": dict(
+        density=BUMP, nav=NavSpec(kind=NavKind.RANDOM_NORTH_THETA, p_theta=6), pairs=None,
+        grid_step=0.1, max_pairs=6, euler_h=None),
+}
+GOLDEN_CSV_SHA256 = {
+    "random-north-t-bump-grid":
+        "8efeee341b3c5af2462f8346bcd4dc1487211b5a6439149f63d27b10fd16e273",
+    "straight-t-affine":
+        "6ff3b4f29998671cd54a9e47df64f0f5e30905101db208d82a51856559e590df",
+    "t-affine":
+        "4497e6a011e254676891ca3af76a73dccdc92975490390f03c19fc43ec66177e",
+    "yao-bump-grid":
+        "f0adb4783f5c459d1b80d2d2de2466899d027412227735c2ce2270b0570d126d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_CONFIGS))
+def test_run_experiment_csv_matches_golden_hash(name, tmp_path):
+    cfg = small_config(n_values=(800.0,), **GOLDEN_CSV_CONFIGS[name])
+    path = tmp_path / "rows.csv"
+    write_csv(run_experiment(cfg), cfg, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[name]

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from geonav import (DensitySpec, FixedTime, HitPoint, NavKind, OdeSpec,
-                    OutOfRangeTheta, Rect, constants, euler_solve, hit_time,
-                    mc_constants, predict_cost, predict_cross,
-                    predict_straight)
+from geonav import (DensitySpec, FixedTime, GammaLeavesInset, HitPoint,
+                    NavKind, OdeSpec, OutOfRangeTheta, Rect, constants,
+                    euler_solve, hit_time, mc_constants, predict_cost,
+                    predict_cross, predict_straight)
 from geonav import limits
 from geonav.limits import hop_moment
 
@@ -218,14 +218,22 @@ def test_euler_exact_for_constant_density():
 
 
 def test_euler_cost_linear_identity_constant_density():
-    # with g=1 the accumulated cost is q/lam times the distance travelled
+    # with g=1 the accumulated cost is q/lam times the distance travelled,
+    # and with g=0 it is q times the elapsed time, at every horizon
     dens = DensitySpec.constant(2.5)
-    lam, q = 0.9, 1.7
-    spec = OdeSpec(lam, 0.0, 0.1 + 0.5j, dens, h=0.01, cost_q=q, cost_g=1.0)
-    curve = euler_solve(spec, FixedTime(0.8))
-    for k in range(len(curve.times)):
-        trav = curve.positions[k, 0] - 0.1
-        assert curve.costs[k] == pytest.approx(q / lam * trav, abs=1e-12)
+    lam, q0, q1 = 0.9, 0.6, 1.7
+    spec = OdeSpec(lam, 0.0, 0.1 + 0.5j, dens, h=0.01, cost_q=(q0, q1), cost_g=(0.0, 1.0))
+    for t_end in (0.005, 0.01, 0.37, 0.8):
+        curve = euler_solve(spec, FixedTime(t_end))
+        trav = curve.positions[-1, 0] - 0.1
+        assert curve.end_costs[0] == pytest.approx(q0 * t_end, abs=1e-12)
+        assert curve.end_costs[1] == pytest.approx(q1 / lam * trav, abs=1e-12)
+
+
+def test_ode_spec_costs_pair_up():
+    assert OdeSpec(1.0, 0.0, 0.5j, UNIT, h=0.1).cost_q == ()
+    with pytest.raises(ValueError):
+        OdeSpec(1.0, 0.0, 0.5j, UNIT, h=0.1, cost_q=(1.0, 2.0), cost_g=(1.0,))
 
 
 def test_euler_affine_hit_time_matches_quadrature():
@@ -284,6 +292,15 @@ def test_hit_time_constant_density():
     got = hit_time(2.0, 0.2 + 0.5j, 0.8 + 0.5j, dens, h=1e-4)
     assert got == pytest.approx(0.6 * 2.0 / 2.0, abs=1e-6)
     assert hit_time(1.0, 0.3 + 0.3j, 0.3 + 0.3j, dens, h=1e-4) == 0.0
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3])
+def test_hit_time_rejects_non_positive_step(h):
+    # a step that is not > 0 would never reach the target
+    with pytest.raises(ValueError):
+        hit_time(1.0, 0.2 + 0.5j, 0.8 + 0.5j, UNIT, h=h)
+    with pytest.raises(ValueError):
+        hit_time(1.0, 0.3 + 0.3j, 0.3 + 0.3j, UNIT, h=h)
 
 
 def test_hit_time_affine_matches_quadrature():
@@ -356,6 +373,14 @@ def test_predict_cross_degenerate_and_range():
     assert predict_cross("t", 6, 1j, 1j, WIDE)[0] == 0.0
     with pytest.raises(OutOfRangeTheta):
         predict_cross("t", 5, 0j, 1 + 0j, WIDE)
+    # at p_theta 7 the bisector leg of this pair bends out of the inset
+    # before the border leg comes back to t, which is inside it
+    s, t = 0.06 + 0.1j, 0.147 + 0.592j
+    assert UNIT.domain.contains(t, UNIT.inset_a)
+    with pytest.raises(GammaLeavesInset):
+        predict_cross("t", 7, s, t, UNIT)
+    with pytest.raises(GammaLeavesInset):
+        predict_cost("t", 2 * math.pi / 7, (1.0,), s, t, UNIT, p_theta=7)
 
 
 def test_predict_cost_identities():
@@ -371,8 +396,7 @@ def test_predict_cost_identities():
             length, nb, _ = predict_cross(kind, p, s, t, dens)
         else:
             length, nb, _ = predict_straight(kind, theta, s, t, dens)
-        c0 = predict_cost(kind, theta, 0.0, s, t, dens, p_theta=p)
-        c1 = predict_cost(kind, theta, 1.0, s, t, dens, p_theta=p)
+        c0, c1 = predict_cost(kind, theta, (0.0, 1.0), s, t, dens, p_theta=p)
         assert c0 == pytest.approx(nb, rel=1e-9)
         assert c1 == pytest.approx(length, rel=1e-9)
 
@@ -382,26 +406,31 @@ def test_predict_cost_quadratic_cross():
     theta = math.pi / 3
     t = cmath.rect(1.0, 20 * DEG)
     _, nb, _ = predict_cross("yao", 6, 0j, t, WIDE)
-    got = predict_cost("yao", theta, 2.0, 0j, t, WIDE, p_theta=6)
+    (got,) = predict_cost("yao", theta, (2.0,), 0j, t, WIDE, p_theta=6)
     assert got == pytest.approx((2.0 / theta) * nb, rel=1e-6)
 
 
-def test_limit_curve_csv(tmp_path):
-    _, _, curve = predict_straight("straight-t", math.pi / 2,
-                                   0.2 + 0.5j, 0.8 + 0.5j, UNIT)
-    path = tmp_path / "curve.csv"
-    curve.to_csv(path)
-    head = path.read_text().splitlines()
-    assert head[0] == "time,x,y,cost"
-    assert len(head) == len(curve.times) + 1
+def test_predict_cost_walks_each_leg_once(monkeypatch):
+    # one cost walk per leg carries every exponent: one walk for a segment,
+    # two for a cross pair with a corner, none without exponents or for s == t
+    walks = []
+    solve = limits.euler_solve
+    monkeypatch.setattr(limits, "euler_solve", lambda *a: walks.append(a) or solve(*a))
+    cases = [("straight-t", math.pi / 2, None, 0.2 + 0.5j, 0.8 + 0.5j, 1),
+             ("t", math.pi / 3, 6, 0j, cmath.rect(1.0, 20 * DEG), 2)]
+    for kind, theta, p, s, t, legs in cases:
+        walks.clear()
+        got = predict_cost(kind, theta, (0.0, 1.0, 2.0, 0.5), s, t, WIDE, p_theta=p)
+        assert len(got) == 4 and len(walks) == legs
+        walks.clear()
+        assert predict_cost(kind, theta, (), s, t, WIDE, p_theta=p) == ()
+        assert predict_cost(kind, theta, (0.0, 1.0), s, s, WIDE, p_theta=p) == (0.0, 0.0)
+        assert walks == []
 
 
-def test_euler_leave_inset_stop():
-    from geonav import LeaveInset
-    spec = OdeSpec(1.0, 0.0, 0.5 + 0.5j, UNIT, h=1e-3)
-    curve = euler_solve(spec, LeaveInset())
-    assert curve.positions[-1, 0] >= 1.0 - UNIT.inset_a - 1e-9
-    assert curve.positions[-1, 0] <= 1.0
+def test_predict_cost_cross_needs_p_theta():
+    with pytest.raises(ValueError):
+        predict_cost("t", math.pi / 3, (1.0,), 0j, 0.5 + 0j, WIDE)
 
 
 def test_constants_json_dump():
@@ -449,9 +478,8 @@ def golden_record(dens, s, t, kind):
         length, nb, curve = predict_cross(kind, 6, s, t, dens)
     else:
         length, nb, curve = predict_straight(kind, math.pi / 3, s, t, dens)
-    costs = [predict_cost(kind, math.pi / 3, g, s, t, dens,
-                          p_theta=6 if kind == "t" else None)
-             for g in (0.0, 1.0, 2.0)]
+    costs = predict_cost(kind, math.pi / 3, (0.0, 1.0, 2.0), s, t, dens,
+                         p_theta=6 if kind == "t" else None)
     return (repr(float(length)), repr(float(nb)), repr(curve.end_position),
             len(curve.times), repr(float(curve.times[-1])),
             repr(float(curve.hit_time)), tuple(repr(float(c)) for c in costs))
