@@ -12,14 +12,13 @@ from .errors import (ConfigError, DegeneratePair, EmptyInput, EmptyPointSet,
                      GammaLeavesInset, GeonavError, NoValidPairs,
                      OutOfRangeTheta, SegmentLeavesDomain, StepOutOfDomain,
                      TooFewPoints)
-from .geometry import (CrossParams, SectorFrame, as_point, border_distance,
-                       corner_point, gamma_path, hausdorff_distance,
-                       in_decision_domain, sector_index, weighted_gamma_length)
+from .geometry import (CrossParams, as_point, corner_point, gamma_path,
+                       hausdorff_distance, sector_index, weighted_gamma_length)
 from .harness import (ExperimentConfig, ResultRow, generate_pairs,
                       render_svg, run_experiment, summarize)
-from .limits import (ConstantsRow, FixedTime, HitPoint, LimitCurve, OdeSpec,
-                     constants, euler_solve, hit_time, mc_constants,
-                     predict_cost, predict_cross, predict_straight)
+from .limits import (ConstantsRow, LimitCurve, OdeSpec, constants, euler_solve,
+                     hit_time, mc_constants, predict_cost, predict_cross,
+                     predict_straight)
 from .navigation import (CostReport, NavKind, NavSpec, PathRecord, costs,
                          next_stop, run, run_directed, stage_samples)
 from .points import (Diagnostics, PointSet, load_points, maxball, navmax,

@@ -191,6 +191,10 @@ def _cmd_experiment(args) -> int:
     if updates:
         from dataclasses import replace
         cfg = replace(cfg, **updates)
+    # a sweep with no (n, seed) cell has no rows to summarize
+    if not (cfg.n_values and cfg.seeds_per_n):
+        raise ConfigError(f"the config has no cells: n_values {list(cfg.n_values)!r}, "
+                          f"seeds_per_n {cfg.seeds_per_n!r}")
     rows = run_experiment(cfg, workers=args.workers)
     print(json.dumps(summarize(rows), indent=2, sort_keys=True))
     return 0

@@ -4,10 +4,14 @@ The plane is identified with the complex numbers: a point is a python
 ``complex`` (helpers accept ``(x, y)`` pairs too).  Angles follow the
 ``[0, 2*pi)`` convention.  The cross around a point ``x`` is the family of
 ``p`` half-lines ``HL_j(x) = x + {r*e^{i*theta*(j-1/2)}, r > 0}`` bounding the
-``p`` angular sectors ``x + e^{i*k*theta}*Sect(theta)``; a decision domain is
-the sector truncated either by a disk cap (radius key) or by a line
-orthogonal to the bisector (projection key).  The apex is excluded from
-every decision domain.
+``p`` angular sectors ``x + e^{i*k*theta}*Sect(theta)``.  This module indexes
+those sectors, builds the two-leg limit polyline and its weighted length, and
+measures polylines against each other (Hausdorff distance).
+
+A decision domain is a sector truncated by a disk cap (radius key) or by a
+line orthogonal to the bisector (projection key).  Which of its points may be
+chosen (the apex never) and which of them wins is one rule, the sector
+query's ``points._candidate_key`` behind ``nearest_in_sector``.
 """
 
 from __future__ import annotations
@@ -22,14 +26,11 @@ from .errors import DegeneratePair
 
 TWO_PI = 2.0 * math.pi
 
-# Boundary tolerance for membership/tie tests on hand-built fixtures.
+# Boundary tolerance of the sector rules (``sector_of_angle`` here, the
+# sector query's membership test in ``points``) on hand-built fixtures.
 # Randomly sampled points never sit on a boundary, so this only guards
 # deliberately degenerate inputs.
 EPS = 1e-12
-
-SECTOR = "sector"
-DISK = "disk"
-TRIANGLE = "triangle"
 
 
 def as_point(p) -> complex:
@@ -67,31 +68,6 @@ class CrossParams:
         return TWO_PI / self.p_theta
 
 
-@dataclass(frozen=True)
-class SectorFrame:
-    """An anchored decision domain.
-
-    ``direction`` is the bisector angle, ``half_angle`` the angular half-width.
-    ``shape`` is ``"sector"`` (unbounded), ``"disk"`` (points within distance
-    ``h`` of the apex) or ``"triangle"`` (points whose projection on the
-    bisector is at most ``h``).  ``h`` is ignored for ``"sector"``.
-    """
-
-    apex: complex
-    direction: float
-    half_angle: float
-    shape: str = SECTOR
-    h: float = math.inf
-
-    def __post_init__(self):
-        if self.shape not in (SECTOR, DISK, TRIANGLE):
-            raise ValueError(f"unknown shape {self.shape!r}")
-        if not 0.0 < self.half_angle < math.pi:
-            raise ValueError("half_angle must be in (0, pi)")
-        if self.shape != SECTOR and not self.h > 0.0:
-            raise ValueError("cap height h must be > 0")
-
-
 def sector_index(s, t, cross: CrossParams) -> int:
     """Index ``k`` of the fixed angular sector around ``s`` containing ``t``.
 
@@ -119,50 +95,6 @@ def sector_of_angle(ang: float, theta: float, p_theta: int) -> int:
     if k >= 1 and abs(ang - (k - 0.5) * theta) <= EPS:
         k -= 1
     return k
-
-
-def _frame_coords(p: complex, frame: SectorFrame) -> tuple[float, float]:
-    """Coordinates of ``p`` in the frame rotated so the bisector is the +x axis."""
-    d = p - frame.apex
-    c = math.cos(frame.direction)
-    s = math.sin(frame.direction)
-    return d.real * c + d.imag * s, -d.real * s + d.imag * c
-
-
-def in_decision_domain(p, frame: SectorFrame) -> bool:
-    """Closed-sector membership, apex excluded, cap included."""
-    p = as_point(p)
-    x, y = _frame_coords(p, frame)
-    r = math.hypot(x, y)
-    if r == 0.0:
-        return False
-    # |angle| <= half_angle <=> cos(angle) >= cos(half_angle)
-    if x < r * (math.cos(frame.half_angle) - EPS):
-        return False
-    if frame.shape == DISK:
-        return r <= frame.h + EPS
-    if frame.shape == TRIANGLE:
-        return 0.0 < x <= frame.h + EPS
-    return True
-
-
-def border_distance(p, frame: SectorFrame) -> float:
-    """Distance from ``p`` to the first border half-line of the frame.
-
-    The first border leaves the apex at angle ``direction - half_angle``.
-    Used as the deterministic tie-break key when several candidates share
-    the minimal radius.
-    """
-    p = as_point(p)
-    x, y = _frame_coords(p, frame)
-    # the border direction is at angle -half_angle in the bisector frame
-    ch = math.cos(frame.half_angle)
-    sh = math.sin(frame.half_angle)
-    along = x * ch - y * sh          # projection on the border direction
-    across = x * sh + y * ch         # offset from the border line
-    if along >= 0.0:
-        return abs(across)
-    return math.hypot(x, y)          # foot falls behind the apex
 
 
 def corner_point(s, t, cross: CrossParams) -> complex:

@@ -57,6 +57,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not value > 0.0:
                 raise ConfigError(f"{name} must be > 0, got {value!r}")
+        if not all(math.isfinite(n) and n > 0.0 for n in self.n_values):
+            raise ConfigError(f"n_values must be finite and > 0, got {self.n_values!r}")
+        if self.seeds_per_n < 0:
+            raise ConfigError(f"seeds_per_n must be >= 0, got {self.seeds_per_n!r}")
         if not all(g >= 0.0 for g in self.exponents):
             raise ConfigError(f"exponents must be >= 0, got {self.exponents!r}")
         if self.max_pairs < 1:

@@ -10,7 +10,9 @@ accumulated power cost follows the coupled equation
 ``C'(x) = q / f(rho(x))^{g/2}`` with ``q`` the mean ``|hop|^g`` at unit
 intensity.  This module evaluates the speed/stretch constants, solves the
 flow with an explicit Euler scheme, and combines both into per-pair
-predictions of path length, stage count, and power costs.
+predictions of path length, stage count, and power costs.  Every Euler walk
+has one stop, its target: ``euler_solve(spec, target)`` integrates until the
+walk crosses it.
 
 One leg rule (``_legs``) gives the shape of every limit trajectory: the
 segment ``[s, t]`` for straight and random-north kinds, or the two legs
@@ -26,8 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +40,9 @@ from .navigation import NavKind, stage_samples
 
 __all__ = [
     "ConstantsRow", "constants", "McConstants", "mc_constants",
-    "OdeSpec", "LimitCurve", "FixedTime", "HitPoint",
-    "euler_solve", "hit_time", "predict_straight", "predict_cross",
-    "predict_cost", "constants_to_json", "check_theta", "limit_path_in_inset",
+    "OdeSpec", "LimitCurve", "euler_solve", "hit_time", "predict_straight",
+    "predict_cross", "predict_cost", "constants_to_json", "check_theta",
+    "limit_path_in_inset",
 ]
 
 
@@ -273,56 +273,24 @@ def mc_constants(kind, theta: float, samples: int, seed: int,
 
 _MC_MOMENT_SEED = 20260808
 _MC_MOMENT_SAMPLES = 10_000_000
-_mc_moment_cache: dict = {}
+_mc_moments: dict = {}
 
 
-def hop_moment(kind: NavKind, theta: float, g: float,
-               cache_path=None) -> tuple[float, float]:
+def hop_moment(kind: NavKind, theta: float, g: float) -> tuple[float, float]:
     """E(|hop|^g) and its standard error; closed form (se 0) when available,
-    otherwise a fixed-seed Monte Carlo estimate, cached in memory and
-    optionally in a JSON file recording seed and standard error."""
+    otherwise a fixed-seed Monte Carlo estimate, cached in memory."""
     kind = NavKind(kind)
     cf = moment_closed_form(kind, theta, g)
     if cf is not None:
         return cf, 0.0
     family = NavKind.DIRECTED_THETA if kind in _T_FAMILY else NavKind.DIRECTED_YAO
     key = (family.value, round(theta, 15), round(float(g), 15))
-    if key in _mc_moment_cache:
-        return _mc_moment_cache[key]
-    if cache_path is not None:
-        try:
-            with open(cache_path) as fh:
-                disk = json.load(fh)
-            k = "|".join(map(str, key))
-            if k in disk:
-                val = (disk[k]["value"], disk[k]["se"])
-                _mc_moment_cache[key] = val
-                return val
-        except FileNotFoundError:
-            disk = {}
+    if key in _mc_moments:
+        return _mc_moments[key]
     mc = mc_constants(family, theta, _MC_MOMENT_SAMPLES, _MC_MOMENT_SEED, pow_gs=(g,))
     val = (mc.e_l_pow[float(g)], mc.se_e_l_pow[float(g)])
-    _mc_moment_cache[key] = val
-    if cache_path is not None:
-        disk["|".join(map(str, key))] = {
-            "value": val[0], "se": val[1],
-            "seed": _MC_MOMENT_SEED, "samples": _MC_MOMENT_SAMPLES}
-        _write_json_atomic(cache_path, disk)
+    _mc_moments[key] = val
     return val
-
-
-def _write_json_atomic(path, obj) -> None:
-    """Write ``obj`` as JSON through a temporary file in the same directory
-    and an atomic rename, so a concurrent reader never sees half a file."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 # -- explicit Euler integration ----------------------------------------------
@@ -357,21 +325,11 @@ def default_step(density: DensitySpec) -> float:
     return 1e-4 * density.domain.diameter
 
 
-@dataclass(frozen=True)
-class FixedTime:
-    t_end: float
-
-
-@dataclass(frozen=True)
-class HitPoint:
-    target: complex
-
-
 @dataclass
 class LimitCurve:
     times: np.ndarray
     positions: np.ndarray        # (m, 2)
-    hit_time: float | None = None
+    hit_time: float              # time at which the curve reaches its target
     end_costs: tuple = ()        # accumulated cost per exponent of the spec
 
     def position_at(self, x) -> np.ndarray:
@@ -389,62 +347,51 @@ def _point_curve(z: complex, end_costs: tuple = ()) -> LimitCurve:
     return LimitCurve(np.zeros(1), np.array([[z.real, z.imag]]), 0.0, end_costs)
 
 
-def euler_solve(spec: OdeSpec, stop) -> LimitCurve:
-    """Explicit Euler iterates of the flow up to a ``FixedTime`` or a
-    ``HitPoint``, with every cost of the spec carried in one scalar
-    accumulator per exponent.
+def euler_solve(spec: OdeSpec, target) -> LimitCurve:
+    """Explicit Euler iterates of the flow from ``spec.start`` up to
+    ``target``, with every cost of the spec carried in one scalar accumulator
+    per exponent.
 
-    The direction is constant, so hitting a point reduces to crossing its
+    The direction is constant, so hitting the target reduces to crossing its
     arc-length offset; the crossing step is shortened by linear
-    interpolation, which keeps the g=0 and g=1 cost identities exact.
-    The global error is O(h) on any fixed horizon.
+    interpolation, which keeps the g=0 and g=1 cost identities exact.  The
+    global error is O(h).  Raises StepOutOfDomain when an iterate leaves the
+    domain before the target.
     """
-    dens = spec.density
-    dom = dens.domain
-    f_at = dens.scalar()
+    f_at = spec.density.scalar()
+    dom = spec.density.domain
     start = spec.start
     e = complex(math.cos(spec.nu), math.sin(spec.nu))
-    fixed = isinstance(stop, FixedTime)
     lam = spec.lam
-    h_step = spec.h
-    t_end = stop.t_end if fixed else 0.0
+    h = spec.h
     rates = [(q, g / 2.0) for q, g in zip(spec.cost_q, spec.cost_g)]
     cost = [0.0] * len(rates)
+    arc_goal = abs(as_point(target) - start)
+    if arc_goal == 0.0:
+        return _point_curve(start, tuple(cost))
+    x0, y0, x1, y1 = dom.x0, dom.y0, dom.x1, dom.y1
     times = [0.0]
     pos = [start]
-    hit = None
-
-    if not fixed:
-        arc_goal = abs(as_point(stop.target) - start)
-        if arc_goal == 0.0:
-            return _point_curve(start, tuple(cost))
-    x0, y0, x1, y1 = dom.x0, dom.y0, dom.x1, dom.y1
-    max_iter = 10_000_000
     z = start
     t = 0.0
-    for _ in range(max_iter):
-        if fixed and t >= t_end:
-            break
+    for _ in range(10_000_000):
         f = f_at(z.real, z.imag)
         speed = lam / math.sqrt(f)
-        h = min(h_step, t_end - t) if fixed else h_step
         znew = z + h * speed * e
-        if not fixed:
-            arc_new = abs(znew - start)
-            if arc_new >= arc_goal:
-                arc_old = abs(z - start)
-                frac = 1.0 if arc_new == arc_old else \
-                    (arc_goal - arc_old) / (arc_new - arc_old)
-                frac = min(max(frac, 0.0), 1.0)
-                z = z + frac * h * speed * e
-                t += frac * h
-                times.append(t)
-                pos.append(z)
-                if rates:
-                    cost = [c + frac * (h * q / f ** half_g)
-                            for c, (q, half_g) in zip(cost, rates)]
-                hit = t
-                break
+        arc_new = abs(znew - start)
+        if arc_new >= arc_goal:
+            arc_old = abs(z - start)
+            frac = 1.0 if arc_new == arc_old else \
+                (arc_goal - arc_old) / (arc_new - arc_old)
+            frac = min(max(frac, 0.0), 1.0)
+            z = z + frac * h * speed * e
+            t += frac * h
+            times.append(t)
+            pos.append(z)
+            if rates:
+                cost = [c + frac * (h * q / f ** half_g)
+                        for c, (q, half_g) in zip(cost, rates)]
+            break
         if not (x0 <= znew.real <= x1 and y0 <= znew.imag <= y1):
             raise StepOutOfDomain(f"iterate left the domain at t={t + h:g}")
         z = znew
@@ -454,9 +401,9 @@ def euler_solve(spec: OdeSpec, stop) -> LimitCurve:
         if rates:
             cost = [c + h * q / f ** half_g for c, (q, half_g) in zip(cost, rates)]
     else:
-        raise StepOutOfDomain("no stop condition met within the iteration budget")
+        raise StepOutOfDomain("target not reached within the iteration budget")
     arr = np.array(pos, dtype=np.complex128).view(np.float64).reshape(-1, 2)
-    return LimitCurve(np.asarray(times), arr, hit, tuple(cost))
+    return LimitCurve(np.asarray(times), arr, t, tuple(cost))
 
 
 def hit_time(lam: float, s, t, density: DensitySpec, h: float) -> float:
@@ -553,7 +500,7 @@ def _predict_path(legs, s, density: DensitySpec, h: float | None):
     h = h if h is not None else default_step(density)
     length = sum(q * abs(b - a) for a, b, _, q in legs)
     nb = sum(hit_time(lam, a, b, density, h) for a, b, lam, _ in legs)
-    curves = [euler_solve(_leg_spec(leg, density, h), HitPoint(leg[1])) for leg in legs]
+    curves = [euler_solve(_leg_spec(leg, density, h), leg[1]) for leg in legs]
     return length, nb, _glue(curves)
 
 
@@ -584,12 +531,11 @@ def _glue(curves) -> LimitCurve:
     shift = a.times[-1]
     times = np.concatenate([a.times, shift + b.times[1:]])
     positions = np.vstack([a.positions, b.positions[1:]])
-    return LimitCurve(times, positions, shift + (b.hit_time or 0.0))
+    return LimitCurve(times, positions, shift + b.hit_time)
 
 
 def predict_cost(kind, theta: float, exponents, s, t, density: DensitySpec,
-                 h: float | None = None, p_theta: int | None = None,
-                 moment_cache=None) -> tuple:
+                 h: float | None = None, p_theta: int | None = None) -> tuple:
     """Limiting ``sum |hop|^g`` over ``n^{(1-g)/2}`` for one pair, one value
     per exponent g in ``exponents``.
 
@@ -604,10 +550,10 @@ def predict_cost(kind, theta: float, exponents, s, t, density: DensitySpec,
         return (0.0,) * len(exponents)
     h = h if h is not None else default_step(density)
     angle = theta if p_theta is None else 2.0 * math.pi / p_theta
-    qs = tuple(hop_moment(kind, angle, g, cache_path=moment_cache)[0] for g in exponents)
+    qs = tuple(hop_moment(kind, angle, g)[0] for g in exponents)
     totals = [0.0] * len(exponents)
     for leg in legs:
         curve = euler_solve(_leg_spec(leg, density, h, cost_q=qs, cost_g=exponents),
-                            HitPoint(leg[1]))
+                            leg[1])
         totals = [c + leg_cost for c, leg_cost in zip(totals, curve.end_costs)]
     return tuple(totals)

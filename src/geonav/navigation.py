@@ -26,7 +26,7 @@ from .points import PointSet, nearest_in_sector
 __all__ = [
     "NavKind", "NavSpec", "PathRecord", "CostReport",
     "next_stop", "run", "run_directed", "costs", "stage_samples",
-    "path_to_csv", "path_to_svg",
+    "path_to_csv",
 ]
 
 
@@ -381,10 +381,3 @@ def record_to_dict(record: PathRecord) -> dict:
         "exit_reason": record.exit_reason,
         "stops": [[float(x), float(y)] for x, y in record.stops],
     }
-
-
-def path_to_svg(record: PathRecord, path, ps: PointSet | None = None,
-                limit_polyline=None) -> None:
-    from .harness import render_svg
-    render_svg(path, ps=ps, paths=[record],
-               limit_polylines=[limit_polyline] if limit_polyline is not None else [])

@@ -152,9 +152,11 @@ def test_experiment_missing_key_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("change", [
     {"euler_h": 0.0}, {"euler_h": -0.001}, {"hausdorff_resolution": 0.0},
     {"navmax_grid_step": -0.1}, {"grid_step": 0.0, "pairs": None},
-    {"exponents": [0.0, -1.0]}, {"max_pairs": 0}])
+    {"exponents": [0.0, -1.0]}, {"max_pairs": 0},
+    {"n_values": [-5.0]}, {"n_values": [400.0, math.nan]}, {"seeds_per_n": -2},
+    {"n_values": []}, {"seeds_per_n": 0}])
 def test_experiment_invalid_value_is_config_error(tmp_path, capsys, change):
-    # refused when the config is read, before any sampling or prediction
+    # refused before any sampling or prediction
     cfg = write_config(tmp_path, **change)
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "experiment", "--config", cfg)

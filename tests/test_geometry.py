@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from geonav import CrossParams, DegeneratePair
-from geonav.geometry import (SectorFrame, border_distance, corner_point,
-                             gamma_path, hausdorff_distance,
-                             in_decision_domain, norm_angle, sector_index,
-                             sector_of_angle, weighted_gamma_length)
+from geonav.geometry import (corner_point, gamma_path, hausdorff_distance,
+                             norm_angle, sector_index, sector_of_angle,
+                             weighted_gamma_length)
 
 DEG = math.pi / 180.0
 
@@ -114,67 +113,6 @@ def test_sector_index_rotation_equivariance():
         k = sector_index(s, t, CrossParams(p))
         k_rot = sector_index(rot * s, rot * t, CrossParams(p))
         assert k_rot == (k + m) % p
-
-
-# -- decision-domain membership -----------------------------------------------
-
-def test_apex_excluded():
-    for shape in ("disk", "triangle"):
-        frame = SectorFrame(apex=0.3 + 0.4j, direction=1.0, half_angle=0.6,
-                            shape=shape, h=2.0)
-        assert not in_decision_domain(0.3 + 0.4j, frame)
-
-
-def test_triangle_boundary_inclusive():
-    frame = SectorFrame(apex=0j, direction=0.0, half_angle=math.pi / 4,
-                        shape="triangle", h=1.0)
-    assert in_decision_domain(0.5 + 0.5j, frame)   # |y| = x*tan(pi/4)
-    assert in_decision_domain(1.0 + 0.0j, frame)   # cap boundary
-    assert not in_decision_domain(1.0001 + 0.0j, frame)
-    assert not in_decision_domain(0.5 + 0.51j, frame)
-
-
-def test_disk_membership():
-    frame = SectorFrame(apex=0j, direction=0.0, half_angle=math.pi / 4,
-                        shape="disk", h=1.0)
-    p = 0.8 + 0.5j
-    assert abs(p) <= 1.0 and abs(cmath.phase(p)) <= math.pi / 4
-    assert in_decision_domain(p, frame)
-    assert not in_decision_domain(0.8 + 0.9j, frame)     # angle too wide
-    assert not in_decision_domain(1.2 + 0.1j, frame)     # beyond the cap
-
-
-def test_uncapped_sector_membership():
-    frame = SectorFrame(apex=1j, direction=0.0, half_angle=0.4)
-    assert in_decision_domain(1j + cmath.rect(50.0, 0.39), frame)
-    assert not in_decision_domain(1j + cmath.rect(50.0, 0.41), frame)
-
-
-# -- border distance -----------------------------------------------------------
-
-def test_border_distance_on_border_is_zero():
-    frame = SectorFrame(apex=0j, direction=0.0, half_angle=0.5)
-    p = cmath.rect(2.0, -0.5)   # on the first border
-    assert border_distance(p, frame) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_border_distance_axis_point():
-    frame = SectorFrame(apex=0j, direction=0.0, half_angle=math.pi / 4)
-    assert border_distance(1.0 + 0j, frame) == pytest.approx(math.sin(math.pi / 4))
-
-
-def test_border_distance_symmetric_pair():
-    # mirror-image points are equidistant from their respective borders but
-    # not from the same (first) border
-    frame = SectorFrame(apex=0j, direction=0.0, half_angle=0.6)
-    a = cmath.rect(1.3, 0.25)
-    b = cmath.rect(1.3, -0.25)
-    d_first_a = border_distance(a, frame)
-    d_first_b = border_distance(b, frame)
-    assert d_first_a != pytest.approx(d_first_b)
-    # distance of a to the LAST border equals distance of b to the first
-    mirrored = SectorFrame(apex=0j, direction=0.0, half_angle=0.6)
-    assert border_distance(a.conjugate(), mirrored) == pytest.approx(d_first_b)
 
 
 # -- corner point and the limit polyline ---------------------------------------

@@ -1,16 +1,14 @@
 import cmath
 import json
 import math
-import os
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from geonav import (DensitySpec, FixedTime, GammaLeavesInset, HitPoint,
-                    NavKind, OdeSpec, OutOfRangeTheta, Rect, constants,
-                    euler_solve, hit_time, mc_constants, predict_cost,
-                    predict_cross, predict_straight)
+from geonav import (DensitySpec, GammaLeavesInset, NavKind, OdeSpec,
+                    OutOfRangeTheta, Rect, constants, euler_solve, hit_time,
+                    mc_constants, predict_cost, predict_cross, predict_straight)
 from geonav import limits
 from geonav.limits import hop_moment
 
@@ -177,55 +175,34 @@ def test_hop_moment_mc_fallback():
     assert (val2, se2) == (val, se)
 
 
-def test_hop_moment_cache_write_is_atomic(tmp_path, monkeypatch):
-    # no closed form at g = 1.5 and 2.5, so both go to the (shortened) sampler
-    monkeypatch.setattr(limits, "_MC_MOMENT_SAMPLES", 10_000)
-    monkeypatch.setattr(limits, "_mc_moment_cache", {})
-    cache = tmp_path / "moments.json"
-    earlier = {"directed-t|1.0|3.0": {"value": 1.25, "se": 0.01, "seed": 1, "samples": 10}}
-    cache.write_text(json.dumps(earlier))
-    val, _ = hop_moment(NavKind.STRAIGHT_THETA, math.pi / 2, 1.5, cache_path=cache)
-    disk = json.loads(cache.read_text())
-    assert disk["directed-t|1.0|3.0"] == earlier["directed-t|1.0|3.0"]
-    assert [v["value"] for k, v in disk.items() if k != "directed-t|1.0|3.0"] == [val]
-    assert os.listdir(tmp_path) == ["moments.json"]
-
-    # a write that fails half way leaves the file as it was, and no litter
-    def broken_dump(obj, fh, **kw):
-        fh.write("{")
-        raise OSError("disk full")
-
-    before = cache.read_bytes()
-    monkeypatch.setattr(limits.json, "dump", broken_dump)
-    with pytest.raises(OSError):
-        hop_moment(NavKind.STRAIGHT_THETA, math.pi / 2, 2.5, cache_path=cache)
-    assert cache.read_bytes() == before
-    assert os.listdir(tmp_path) == ["moments.json"]
-
-
 # -- Euler solver -------------------------------------------------------------------
 
 def test_euler_exact_for_constant_density():
     dens = DensitySpec.constant(4.0)
     lam, nu = 0.7, 0.3
-    spec = OdeSpec(lam, nu, 0.2 + 0.2j, dens, h=0.01)
-    curve = euler_solve(spec, FixedTime(0.5))
     speed = lam / 2.0
+    spec = OdeSpec(lam, nu, 0.2 + 0.2j, dens, h=0.01)
+    # the target the flow reaches at time 0.5
+    curve = euler_solve(spec, 0.2 + 0.2j + 0.5 * speed * cmath.exp(1j * nu))
     for t, (x, y) in zip(curve.times, curve.positions):
         assert x == pytest.approx(0.2 + t * speed * math.cos(nu), abs=1e-12)
         assert y == pytest.approx(0.2 + t * speed * math.sin(nu), abs=1e-12)
     assert curve.times[-1] == pytest.approx(0.5)
+    assert curve.hit_time == curve.times[-1]
 
 
 def test_euler_cost_linear_identity_constant_density():
     # with g=1 the accumulated cost is q/lam times the distance travelled,
-    # and with g=0 it is q times the elapsed time, at every horizon
+    # and with g=0 it is q times the elapsed time, at every target: the
+    # points the flow reaches at four times, within and beyond one step
     dens = DensitySpec.constant(2.5)
     lam, q0, q1 = 0.9, 0.6, 1.7
+    speed = lam / math.sqrt(2.5)
     spec = OdeSpec(lam, 0.0, 0.1 + 0.5j, dens, h=0.01, cost_q=(q0, q1), cost_g=(0.0, 1.0))
     for t_end in (0.005, 0.01, 0.37, 0.8):
-        curve = euler_solve(spec, FixedTime(t_end))
+        curve = euler_solve(spec, 0.1 + speed * t_end + 0.5j)
         trav = curve.positions[-1, 0] - 0.1
+        assert curve.hit_time == pytest.approx(t_end, abs=1e-12)
         assert curve.end_costs[0] == pytest.approx(q0 * t_end, abs=1e-12)
         assert curve.end_costs[1] == pytest.approx(q1 / lam * trav, abs=1e-12)
 
@@ -239,20 +216,23 @@ def test_ode_spec_costs_pair_up():
 def test_euler_affine_hit_time_matches_quadrature():
     dens = DensitySpec.affine(1.0, 1.0, 0.0)
     spec = OdeSpec(1.0, 0.0, 0.0 + 0.5j, dens, h=1e-4)
-    curve = euler_solve(spec, HitPoint(0.5 + 0.5j))
+    curve = euler_solve(spec, 0.5 + 0.5j)
     want = oracle_affine_hit(1.0, 0.0, 0.5)
     assert want == pytest.approx((2.0 / 3.0) * (1.5 ** 1.5 - 1.0), rel=1e-10)
     assert curve.hit_time == pytest.approx(want, abs=1e-3)
 
 
 def test_euler_error_linear_in_step():
-    # global error against the closed-form affine flow shrinks like h
+    # global error against the closed-form affine flow shrinks like h, on
+    # the walk to where that flow is at time 1
     dens = DensitySpec.affine(1.0, 1.0, 0.0)
+    target = affine_solution(1.0, 0.0, 1.0) + 0.5j
     errs = []
     hs = [1e-2, 1e-3, 1e-4]
     for h in hs:
         spec = OdeSpec(1.0, 0.0, 0.0 + 0.5j, dens, h=h)
-        curve = euler_solve(spec, FixedTime(1.0))
+        curve = euler_solve(spec, target)
+        assert curve.hit_time == pytest.approx(1.0, abs=h)
         exact = affine_solution(1.0, 0.0, curve.times)
         errs.append(float(np.abs(curve.positions[:, 0] - exact).max()))
     x = np.log(hs)

@@ -290,11 +290,11 @@ def test_path_record_csv(tmp_path):
 
 
 def test_path_record_svg(tmp_path):
-    from geonav.navigation import path_to_svg
+    from geonav.harness import render_svg
     spec = NavSpec(kind=NavKind.YAO, p_theta=6)
     ps = sample_ppp(UNIT, 800, seed=63)
     rec = run(spec, 0.2 + 0.2j, 0.8 + 0.6j, ps)
     out = tmp_path / "path.svg"
-    path_to_svg(rec, out, ps=ps, limit_polyline=[0.2 + 0.2j, 0.8 + 0.6j])
+    render_svg(out, ps=ps, paths=[rec], limit_polylines=[[0.2 + 0.2j, 0.8 + 0.6j]])
     text = out.read_text()
     assert text.startswith("<svg") and text.count("<polyline") == 2

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -197,27 +198,57 @@ def test_index_partitions_ids():
 
 # -- sector queries ---------------------------------------------------------------
 
+BIG = DensitySpec.constant(1.0, domain=Rect(-3, -3, 11, 11), inset_a=0.5)
+
+
 def test_nearest_in_sector_triangle_example():
-    big = DensitySpec.constant(1.0, domain=Rect(-3, -3, 11, 11), inset_a=0.5)
-    ps = make_set([(1.0, 0.5), (2.0, -0.1), (0.5, 2.0)], big)
+    ps = make_set([(1.0, 0.5), (2.0, -0.1), (0.5, 2.0)], BIG)
     got = nearest_in_sector(ps, 0j, 0.0, math.pi / 4, "triangle")
     assert got is not None and got[0] == 1.0 + 0.5j and got[2] == 0
+    # a point exactly on a border (|y| = x*tan(pi/4)) is inside, one just
+    # past it is not
+    ps = make_set([(0.5, 0.51), (0.5, 0.5)], BIG)
+    assert nearest_in_sector(ps, 0j, 0.0, math.pi / 4, "triangle") == (0.5 + 0.5j, 0.5, 1)
+    assert_matches_brute(ps, 0j, 0.0, math.pi / 4, "triangle", None)
 
 
 def test_nearest_in_sector_disk_example():
-    big = DensitySpec.constant(1.0, domain=Rect(-3, -3, 11, 11), inset_a=0.5)
-    ps = make_set([(1.0, 0.5), (2.0, -0.1), (0.5, 2.0)], big)
+    ps = make_set([(1.0, 0.5), (2.0, -0.1), (0.5, 2.0)], BIG)
     got = nearest_in_sector(ps, 0j, 0.0, math.pi / 4, "disk")
     assert got is not None and got[0] == 1.0 + 0.5j
     assert got[1] == pytest.approx(math.hypot(1.0, 0.5))
+    # the same border cases under the radius key
+    ps = make_set([(0.5, 0.51), (0.5, -0.5)], BIG)
+    got = nearest_in_sector(ps, 0j, 0.0, math.pi / 4, "disk")
+    assert got[0] == 0.5 - 0.5j and got[1] == pytest.approx(math.sqrt(0.5))
+    assert_matches_brute(ps, 0j, 0.0, math.pi / 4, "disk", None)
 
 
 def test_nearest_in_sector_empty_with_target():
-    big = DensitySpec.constant(1.0, domain=Rect(-3, -3, 11, 11), inset_a=0.5)
-    ps = make_set(np.empty((0, 2)), big)
+    ps = make_set(np.empty((0, 2)), BIG)
     got = nearest_in_sector(ps, 0j, 0.0, math.pi / 4, "triangle", extra=10 + 0j)
     assert got == (10 + 0j, 10.0, -1)
     assert nearest_in_sector(ps, 0j, 0.0, math.pi / 4, "triangle") is None
+    # the apex alone is never returned, as a stored point or as the extra one
+    apex = 0.3 + 0.4j
+    ps = make_set([(0.3, 0.4)], BIG)
+    for shape in ("disk", "triangle"):
+        for extra in (None, apex):
+            assert nearest_in_sector(ps, apex, 1.0, 0.6, shape, extra=extra) is None
+            assert brute_nearest(ps, apex, 1.0, 0.6, shape, extra) is None
+
+
+def test_nearest_in_sector_far_point_near_a_border():
+    # the sector is uncapped: at distance 50 with half-angle 0.4, a point at
+    # angle 0.39 is inside and one at 0.41 is not
+    far = DensitySpec.constant(1.0, domain=Rect(-5, -5, 55, 55), inset_a=0.5)
+    inside, outside = 1j + cmath.rect(50.0, 0.39), 1j + cmath.rect(50.0, 0.41)
+    for shape in ("disk", "triangle"):
+        ps = make_set([(outside.real, outside.imag), (inside.real, inside.imag)], far)
+        assert nearest_in_sector(ps, 1j, 0.0, 0.4, shape)[2] == 1
+        assert_matches_brute(ps, 1j, 0.0, 0.4, shape, None)
+        ps = make_set([(outside.real, outside.imag)], far)
+        assert nearest_in_sector(ps, 1j, 0.0, 0.4, shape) is None
 
 
 def test_nearest_in_sector_matches_brute_force():
@@ -245,6 +276,13 @@ def test_nearest_in_sector_exact_tie_break():
     ps = make_set([(1.0, 0.5), (1.0, -0.5)], big)
     got = nearest_in_sector(ps, 0j, 0.0, math.pi / 4, "triangle")
     assert got[0] == 1.0 - 0.5j    # first border sits at angle -pi/4
+    # mirror images at angles +-0.25 under half-angle 0.6: equal radius and
+    # projection; the one below the axis is nearer the first border, at -0.6
+    a, b = cmath.rect(1.3, 0.25), cmath.rect(1.3, -0.25)
+    ps = make_set([(a.real, a.imag), (b.real, b.imag)], big)
+    for shape in ("disk", "triangle"):
+        assert nearest_in_sector(ps, 0j, 0.0, 0.6, shape)[2] == 1
+        assert_matches_brute(ps, 0j, 0.0, 0.6, shape, None)
 
 
 # -- the half-plane: directed-t at theta = pi ------------------------------------
