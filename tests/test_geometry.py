@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from geonav import CrossParams, DegeneratePair
+from geonav import (CrossParams, DegeneratePair, DensitySpec, PointSet, Rect,
+                    nearest_in_sector)
 from geonav.geometry import (corner_point, gamma_path, hausdorff_distance,
                              norm_angle, sector_index, sector_of_angle,
                              weighted_gamma_length)
@@ -113,6 +114,58 @@ def test_sector_index_rotation_equivariance():
         k = sector_index(s, t, CrossParams(p))
         k_rot = sector_index(rot * s, rot * t, CrossParams(p))
         assert k_rot == (k + m) % p
+
+
+# -- sector membership and tie-break (the rule of nearest_in_sector) ----------
+
+BIG = DensitySpec.constant(1.0, domain=Rect(-3, -3, 11, 11), inset_a=0.5)
+
+
+def point_set(points):
+    return PointSet(np.asarray(points, dtype=float).reshape(-1, 2), BIG, 0,
+                    ("iid", len(points)))
+
+
+def test_apex_excluded():
+    # the apex alone is never returned, as a stored point or as the extra one
+    apex = 0.3 + 0.4j
+    ps = point_set([(0.3, 0.4)])
+    for shape in ("disk", "triangle"):
+        for extra in (None, apex):
+            assert nearest_in_sector(ps, apex, 1.0, 0.6, shape, extra=extra) is None
+
+
+def test_triangle_boundary_inclusive():
+    # a point exactly on a border (|y| = x*tan(pi/4)) is inside, one just
+    # past it is not
+    ps = point_set([(0.5, 0.51), (0.5, 0.5)])
+    assert nearest_in_sector(ps, 0j, 0.0, math.pi / 4, "triangle") == (0.5 + 0.5j, 0.5, 1)
+    assert nearest_in_sector(point_set([(0.5, 0.51)]), 0j, 0.0, math.pi / 4,
+                             "triangle") is None
+
+
+def test_disk_membership():
+    p = 0.8 + 0.5j
+    assert abs(cmath.phase(p)) <= math.pi / 4
+    ps = point_set([(0.8, 0.9), (0.8, 0.5)])    # 0.8 + 0.9j: angle too wide
+    got = nearest_in_sector(ps, 0j, 0.0, math.pi / 4, "disk")
+    assert got[0] == p and got[1] == pytest.approx(abs(p)) and got[2] == 1
+    assert nearest_in_sector(point_set([(0.8, 0.9)]), 0j, 0.0, math.pi / 4, "disk") is None
+    # a border point under the radius key
+    ps = point_set([(0.5, 0.51), (0.5, -0.5)])
+    got = nearest_in_sector(ps, 0j, 0.0, math.pi / 4, "disk")
+    assert got[0] == 0.5 - 0.5j and got[1] == pytest.approx(math.sqrt(0.5))
+
+
+def test_border_distance_symmetric_pair():
+    # mirror images at angles +-0.25 under half-angle 0.6 have equal radius
+    # and projection; the one below the axis is nearer the first border, at
+    # -0.6, and wins in either storage order
+    a, b = cmath.rect(1.3, 0.25), cmath.rect(1.3, -0.25)
+    for order in ((a, b), (b, a)):
+        ps = point_set([(z.real, z.imag) for z in order])
+        for shape in ("disk", "triangle"):
+            assert nearest_in_sector(ps, 0j, 0.0, 0.6, shape)[0] == b
 
 
 # -- corner point and the limit polyline ---------------------------------------
