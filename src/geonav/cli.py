@@ -201,6 +201,12 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    # the ranges navmax and maxball accept, checked before the file is read
+    if not 0.0 < args.theta <= 2.0 * math.pi:
+        raise ConfigError(f"--theta must be in (0, 2*pi], got {args.theta!r}")
+    for flag, value in (("--grid-step", args.grid_step), ("--r", args.r)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{flag} must be finite and > 0, got {value!r}")
     ps = load_points(args.points)
     d = diagnose(ps, args.theta, args.grid_step, args.r)
     print(json.dumps({"navmax": d.navmax, "maxball": d.maxball,

@@ -259,10 +259,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     if config.nav.kind in DIRECTED_KINDS:
         raise ConfigError("directed kinds have no target; sweeps need a "
                           "targeted navigation kind")
-    pairs = generate_pairs(config)
-    preds = _predictions(config, pairs)
     cells = [(i, j) for i in range(len(config.n_values))
              for j in range(config.seeds_per_n)]
+    # with no (n, seed) cell there are no rows to summarize or draw
+    if not cells and (config.json_path or config.svg_path):
+        raise ConfigError(f"the config has no cells: n_values {list(config.n_values)!r}, "
+                          f"seeds_per_n {config.seeds_per_n!r}")
+    pairs = generate_pairs(config)
+    preds = _predictions(config, pairs) if cells else []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_cell,

@@ -7,9 +7,10 @@ drop cells that cannot meet the query cone or whose lower key bound exceeds
 the best key so far, and stop as soon as no unvisited ring can beat it.
 
 The diagnostics run on one vectorised cell-list gather
-(``GridIndex.gather``): ``navmax`` moves a lattice column of apexes ring by
-ring in lockstep, and ``r_min`` pairs every point with its forward
-half-neighbourhood in one pass per cell offset.
+(``GridIndex.gather``): ``navmax`` flattens its lattice of apexes and moves
+each block of ``_NAVMAX_BLOCK`` apexes ring by ring in lockstep, and
+``r_min`` pairs every point with its forward half-neighbourhood in one pass
+per cell offset.
 """
 
 from __future__ import annotations
@@ -253,6 +254,12 @@ _FIRST_DI, _FIRST_DJ = (o.ravel() for o in np.meshgrid(np.arange(-3, 4), np.aran
                                                       indexing="ij"))
 _FIRST_RING = np.maximum(np.abs(_FIRST_DI), np.abs(_FIRST_DJ))
 _BATCH_CELLS = 1 << 14
+# navmax walks its lattice in blocks of _NAVMAX_BLOCK apexes (blocks of 128
+# to 512 measured faster than whole lattices of 1000 apexes and more) and
+# reads at most _NAVMAX_CELLS cells a pass, which keeps the arrays small on a
+# sparse set, whose apexes read out to the grid's edge
+_NAVMAX_BLOCK = 512
+_NAVMAX_CELLS = 1 << 16
 
 
 def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
@@ -423,10 +430,13 @@ def navmax(ps: PointSet, theta: float, grid_step: float, directions: int = 64) -
     a point.
 
     A lattice lower bound of the true continuum sup; reported as a
-    diagnostic, not a certified bound.
+    diagnostic, not a certified bound.  ``theta`` must lie in (0, 2*pi] and
+    ``grid_step`` must be finite and > 0.
     """
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be > 0")
+    if not 0.0 < theta <= 2.0 * math.pi:
+        raise ValueError(f"theta must be in (0, 2*pi], got {theta!r}")
+    if not 0.0 < grid_step < math.inf:
+        raise ValueError(f"grid_step must be finite and > 0, got {grid_step!r}")
     if len(ps) == 0:
         raise EmptyPointSet("navmax needs a non-empty point set")
     inset = ps.density.domain.inset(ps.density.inset_a)
@@ -436,57 +446,82 @@ def navmax(ps: PointSet, theta: float, grid_step: float, directions: int = 64) -
     # the cells of the lattice columns and rows, as GridIndex.cell_of
     i0 = np.clip(((axs - idx.rect.x0) / idx.cell).astype(np.int64), 0, idx.nx - 1)
     j0 = np.clip(((ays - idx.rect.y0) / idx.cell).astype(np.int64), 0, idx.ny - 1)
+    # the whole lattice as flat apexes, column by column
+    ax, ay = np.repeat(axs, len(ays)), np.tile(ays, len(axs))
+    ai, aj = np.repeat(i0, len(ays)), np.tile(j0, len(axs))
     worst = 0.0
-    # one lattice column at a time bounds the gathered arrays
-    for ax, ci in zip(axs, i0):
-        per_dir = _column_sector_radii(ps, ax, int(ci), ays, j0, theta / 2.0, directions)
+    for lo in range(0, len(ax), _NAVMAX_BLOCK):
+        blk = slice(lo, lo + _NAVMAX_BLOCK)
+        per_dir = _sector_radii(ps, ax[blk], ay[blk], ai[blk], aj[blk],
+                                theta / 2.0, directions)
         finite = per_dir[np.isfinite(per_dir)]
         if len(finite):
             worst = max(worst, float(finite.max()))
     return worst
 
 
-def _column_sector_radii(ps: PointSet, ax, i0: int, ays: np.ndarray, j0: np.ndarray,
-                         half: float, nbins: int) -> np.ndarray:
-    """Per apex ``(ax, ays[a])``, in cell ``(i0, j0[a])``, and aim bin: the
-    distance to the nearest point within ``half`` of the aim (inf where the
-    sector is empty)."""
+def _sector_radii(ps: PointSet, ax: np.ndarray, ay: np.ndarray, i0: np.ndarray,
+                  j0: np.ndarray, half: float, nbins: int) -> np.ndarray:
+    """Per apex ``(ax[a], ay[a])``, in cell ``(i0[a], j0[a])``, and aim bin:
+    the distance to the nearest point within ``half`` of the aim (inf where
+    the sector is empty).
+
+    The apexes read the square rings of cells around their own cells in
+    lockstep: ring ``k`` for every active apex (in passes of at most
+    ``_NAVMAX_CELLS`` cells) before ring ``k + 1``.  An apex retires before
+    ring ``k`` once every aim bin holds a point and ``(k - 1) * cell`` is at
+    least its largest bin radius: no point of ring ``k`` or beyond is nearer.
+    An apex with an empty aim stays to the last ring any apex of the block
+    has (a ring past its own last ring is empty).  Which apexes share a
+    block or a pass changes no radius.
+    """
     idx = ps.index
     bin_w = 2.0 * math.pi / nbins
     width = half / bin_w
-    per_dir = np.full((len(ays), nbins), np.inf)
-    flat_dir = per_dir.reshape(-1)
-    active = np.arange(len(ays))
-    kmax = max(i0, idx.nx - 1 - i0, int(j0.max()), idx.ny - 1 - int(j0.min()))
+    # the aims a point catches run from bin lo % nbins for cnt <= nbins + 1
+    # bins (half <= pi); each apex row holds two turns of bins, folded on read
+    turns = np.full((len(ax), 2 * nbins), np.inf)
+    flat = turns.reshape(-1)
+    active = np.arange(len(ax))
+    kmax = int(np.maximum(np.maximum(i0, idx.nx - 1 - i0),
+                          np.maximum(j0, idx.ny - 1 - j0)).max())
+    # rings up to this one lie inside the grid for every apex
+    inner = int(np.minimum(np.minimum(i0, idx.nx - 1 - i0),
+                           np.minimum(j0, idx.ny - 1 - j0)).min())
     for k in range(kmax + 1):
-        # aims whose sector has no point at all are skipped; once every aim
-        # is covered, farther rings can only add points beyond the current
-        # worst bin (a ring beyond an apex's own last ring is empty)
-        rows = per_dir[active]
-        done = np.isfinite(rows).all(axis=1) & ((k - 1) * idx.cell >= rows.max(axis=1))
-        active = active[~done]
+        # an empty bin makes the largest radius inf, which keeps the apex
+        worst = np.minimum(turns[active, :nbins], turns[active, nbins:]).max(axis=1)
+        active = active[(k - 1) * idx.cell < worst]
         if not len(active):
             break
         di, dj = _ring_offsets(k)
-        ci = i0 + di
-        cj = j0[active, None] + dj
-        ok = (ci >= 0) & (ci < idx.nx) & (cj >= 0) & (cj < idx.ny)
-        owner = np.broadcast_to(active[:, None], ok.shape)[ok]
-        ids, owner = idx.gather((ci * idx.ny + cj)[ok], owner)
-        dx = ps.xs[ids] - ax
-        dy = ps.ys[ids] - ays[owner]
-        r = np.hypot(dx, dy)
-        keep = r > 0.0
-        if not keep.any():
-            continue
-        r = r[keep]
-        # a point at angle phi is caught by every aim within half
-        ctr = np.arctan2(dy[keep], dx[keep]) / bin_w
-        lo = np.ceil(ctr - width).astype(np.int64)
-        cnt = (np.floor(ctr + width).astype(np.int64) - lo + 1)
-        np.minimum.at(flat_dir, np.repeat(owner[keep] * nbins, cnt) + _ranges(lo, cnt) % nbins,
-                      np.repeat(r, cnt))
-    return per_dir
+        for part in np.array_split(active, math.ceil(len(active) * len(di) / _NAVMAX_CELLS)):
+            ci = i0[part, None] + di
+            cj = j0[part, None] + dj
+            cells = ci * idx.ny + cj
+            owner = np.broadcast_to(part[:, None], cells.shape)
+            if k > inner:
+                # the ring reaches past the grid's edge for some apex: clip it
+                ok = (ci >= 0) & (ci < idx.nx) & (cj >= 0) & (cj < idx.ny)
+                cells, owner = cells[ok], owner[ok]
+            ids, owner = idx.gather(cells.ravel(), owner.ravel())
+            if not len(ids):
+                continue
+            dx = ps.xs[ids] - ax[owner]
+            dy = ps.ys[ids] - ay[owner]
+            r = np.hypot(dx, dy)
+            r[r == 0.0] = np.inf        # a point on its apex is no candidate
+            # a point at angle phi is caught by every aim within half
+            ctr = np.arctan2(dy, dx) / bin_w
+            lo = np.ceil(ctr - width).astype(np.int64)
+            cnt = np.floor(ctr + width).astype(np.int64) - lo + 1
+            first = owner * (2 * nbins) + lo % nbins
+            # one update array per bin count (at most three counts occur)
+            for c in range(int(cnt.min()), int(cnt.max()) + 1):
+                sel = cnt == c
+                np.minimum.at(flat, (first[sel, None] + np.arange(c)).ravel(),
+                              np.repeat(r[sel], c))
+    return np.minimum(turns[:, :nbins], turns[:, nbins:])
 
 
 def _ring_offsets(k: int):
@@ -502,11 +537,12 @@ def _ring_offsets(k: int):
 
 def maxball(ps: PointSet, r: float, grid_step: float) -> int:
     """Max number of points in an open ball of radius ``r`` centered on a
-    lattice of the inset domain."""
-    if r <= 0.0:
-        raise ValueError("r must be > 0")
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be > 0")
+    lattice of the inset domain; ``r`` and ``grid_step`` must be finite and
+    > 0."""
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"r must be finite and > 0, got {r!r}")
+    if not 0.0 < grid_step < math.inf:
+        raise ValueError(f"grid_step must be finite and > 0, got {grid_step!r}")
     if len(ps) == 0:
         return 0
     inset = ps.density.domain.inset(ps.density.inset_a)

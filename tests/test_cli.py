@@ -173,6 +173,17 @@ def test_diagnose_points_without_header_is_config_error(tmp_path, capsys):
     assert "header" in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--theta", "0"), ("--theta", "nan"), ("--theta", "-1"), ("--theta", "7"),
+    ("--grid-step", "0"), ("--grid-step", "nan"), ("--r", "0"), ("--r", "nan")])
+def test_diagnose_invalid_argument_is_config_error(capsys, flag, value):
+    # refused before the points file is read: this one does not exist
+    code, out, err = run_cli(capsys, "diagnose", "--points", "/nonexistent.csv",
+                             f"{flag}={value}")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
 def test_experiment_missing_config(capsys):
     code, _, err = run_cli(capsys, "experiment", "--config", "/nonexistent.json")
     assert code == 1

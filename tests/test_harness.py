@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from geonav import (CrossParams, DensitySpec, EmptyInput, NavKind, NavSpec,
-                    NoValidPairs, gamma_path)
+from geonav import (ConfigError, CrossParams, DensitySpec, EmptyInput, NavKind, NavSpec,
+                    NoValidPairs, gamma_path, harness)
 from geonav.geometry import sample_polyline
 from geonav.harness import (ExperimentConfig, ResultRow, _predictions,
                             generate_pairs, render_svg, run_experiment,
@@ -99,6 +99,18 @@ def test_generated_lattice_pairs_all_predict(p_theta):
 def test_run_experiment_empty_n_values():
     cfg = small_config(n_values=())
     assert run_experiment(cfg) == []
+
+
+def test_run_experiment_no_cell_predicts_nothing(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair was predicted")
+    monkeypatch.setattr(harness, "predict_straight", refuse)
+    assert run_experiment(small_config(seeds_per_n=0)) == []
+    # no row to summarize or draw
+    for out in ("json_path", "svg_path"):
+        with pytest.raises(ConfigError, match="no cells"):
+            run_experiment(small_config(seeds_per_n=0, **{out: str(tmp_path / out)}))
+        assert not (tmp_path / out).exists()
 
 
 def test_run_experiment_tiny_n_direct_hop():

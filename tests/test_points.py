@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from geonav import (DensitySpec, EmptyPointSet, NavSpec, PointSet, Rect, TooFewPoints,
                     load_points, maxball, navmax, nearest_in_sector, next_stop, r_min,
                     sample_iid, sample_ppp, save_points)
+from geonav import points
 from geonav.geometry import EPS
-from geonav.points import _dedupe
+from geonav.points import _NAVMAX_BLOCK, _dedupe
 
 UNIT = DensitySpec.constant(1.0)
 BUMP = DensitySpec.radial_bump((0.5, 0.5), 0.5, 1.5, 0.3)
@@ -376,7 +377,7 @@ def test_nearest_in_sector_stop_rule_ring_by_ring_within_a_batch():
     assert got[2] == 0 and got[1] < 0.0
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(pts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=60),
        rate=st.sampled_from([1, 100, 10_000]),
        apex=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -459,8 +460,57 @@ def test_navmax_matches_brute_force(theta):
     # row sits on a cell border
     assert const.index.cell == 0.1
     bump = sample_ppp(BUMP, 150, seed=32)
-    for ps, step in ((const, 0.05), (bump, 0.07)):
+    # at theta = pi one apex of this set lowers a bin from the last ring the
+    # stop rule reads; a stop one ring earlier returns a larger radius
+    tight = sample_ppp(BUMP, 150, seed=58)
+    # points in one corner only: the aims away from it stay empty, so their
+    # apexes read every ring out to the block's last
+    corner = make_set(0.15 * np.random.default_rng(33).random((30, 2)))
+    # 23 x 23 apexes: the lattice is no whole number of blocks, and the first
+    # block ends inside a column
+    rows = len(np.arange(0.05, 0.95 + 1e-9, 0.04))
+    assert rows * rows % _NAVMAX_BLOCK and _NAVMAX_BLOCK % rows and rows * rows > _NAVMAX_BLOCK
+    for ps, step in ((const, 0.05), (bump, 0.07), (tight, 0.07), (corner, 0.05),
+                     (const, 0.04)):
         assert navmax(ps, theta, step) == brute_navmax(ps, theta, step)
+
+
+def test_navmax_small_blocks_and_passes_match_brute_force(monkeypatch):
+    # which apexes share a block or a ring pass changes no radius
+    monkeypatch.setattr(points, "_NAVMAX_BLOCK", 7)
+    monkeypatch.setattr(points, "_NAVMAX_CELLS", 50)
+    ps = sample_ppp(BUMP, 150, seed=32)
+    assert navmax(ps, math.pi / 2, 0.07) == brute_navmax(ps, math.pi / 2, 0.07)
+
+
+@settings(max_examples=60)
+@given(pts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1,
+                    max_size=40),
+       rate=st.sampled_from([1, 100, 10_000]),
+       density=st.sampled_from([UNIT, BUMP]),
+       step=st.floats(0.05, 0.2),
+       theta=st.sampled_from([math.pi / 3, math.pi / 2, math.pi]))
+def test_navmax_property(pts, rate, density, step, theta):
+    # the cell is sized for ``rate`` points, so sets are dense or sparse
+    ps = PointSet(np.array(pts, dtype=float).reshape(-1, 2), density, 0, ("iid", rate))
+    assert navmax(ps, theta, step) == brute_navmax(ps, theta, step)
+
+
+def test_navmax_maxball_argument_ranges():
+    ps = sample_ppp(UNIT, 100, seed=31)
+    # a whole turn is the widest sector; each point then meets every aim
+    assert navmax(ps, 2 * math.pi, 0.1) == brute_navmax(ps, 2 * math.pi, 0.1)
+    for theta in (0.0, -1.0, math.nan, math.inf, 2 * math.pi + 1e-9):
+        with pytest.raises(ValueError, match="theta"):
+            navmax(ps, theta, 0.1)
+    for step in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="grid_step"):
+            navmax(ps, math.pi / 2, step)
+        with pytest.raises(ValueError, match="grid_step"):
+            maxball(ps, 0.1, step)
+    for r in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="r must"):
+            maxball(ps, r, 0.1)
 
 
 def test_maxball_trivial():
@@ -565,13 +615,13 @@ def _scalar_matches_value(dens, x, y):
     assert got == dens.at(complex(x, y))
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(c=st.floats(1e-3, 1e3), x=st.floats(-1.0, 2.0), y=st.floats(-1.0, 2.0))
 def test_scalar_density_constant(c, x, y):
     _scalar_matches_value(DensitySpec.constant(c), x, y)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(margin=st.floats(1e-3, 5.0), b=st.floats(-5.0, 5.0), c=st.floats(-5.0, 5.0),
        x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0))
 def test_scalar_density_affine(margin, b, c, x, y):
@@ -580,7 +630,7 @@ def test_scalar_density_affine(margin, b, c, x, y):
     _scalar_matches_value(DensitySpec.affine(a, b, c), x, y)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(cx=st.floats(0.3, 0.7), cy=st.floats(0.3, 0.7), rad=st.floats(1e-3, 0.3),
        base=st.floats(0.1, 5.0), amp_frac=st.floats(-0.99, 5.0),
        # the centre, the rim and outside the disk: both sides of the clip
