@@ -51,20 +51,17 @@ class GridIndex:
         j = min(self.ny - 1, max(0, int((y - self.rect.y0) / self.cell)))
         return i, j
 
-    def ids_in_cell(self, i: int, j: int) -> np.ndarray:
-        c = i * self.ny + j
-        return self.order[self.starts[c]:self.starts[c + 1]]
+    def gather(self, cells: np.ndarray, owners: np.ndarray | None = None):
+        """Point ids in the flat ``cells`` (``i * ny + j``); ids of one cell
+        stay together, in the order of ``cells``.
 
-    def gather(self, cells: np.ndarray, owners: np.ndarray):
-        """Point ids in the flat ``cells`` (``i * ny + j``), each paired with
-        the owner of the cell it came from (an apex or a point).
-
-        Returns ``(ids, owner)``; ids of one cell stay together, in the
-        order of ``cells``.
+        With ``owners`` (one per cell: an apex or a point), returns
+        ``(ids, owner)``, each id paired with the owner of its cell.
         """
         lo = self.starts[cells]
         cnt = self.starts[cells + 1] - lo
-        return self.order[_ranges(lo, cnt)], np.repeat(owners, cnt)
+        ids = self.order[_ranges(lo, cnt)]
+        return ids if owners is None else (ids, np.repeat(owners, cnt))
 
     def annulus(self, i0: int, j0: int, a: int, b: int):
         """Cells at Chebyshev distance ``a`` to ``b - 1`` (``a >= 1``) from
@@ -230,20 +227,9 @@ def _candidate_key(dx, dy, nu: float, half: float, triangle: bool):
 
 
 def _lexmin(key, border, ids):
-    """Smallest ``(key, border, id)`` and its position."""
+    """Smallest ``(key, border, id)``."""
     j = np.lexsort((ids, border, key))[0]
-    return (float(key[j]), float(border[j]), int(ids[j])), j
-
-
-def _stop_ring(ring, key, a: int, b: int, best, cell: float, key_factor: float):
-    """First ring ``k`` of ``a .. b - 1`` before which a ring-at-a-time scan
-    of these candidates stops (``max(0, k-1)*cell*key_factor`` exceeds the
-    best key of the rings before ``k``, ``best`` before ring ``a``), or None."""
-    low = np.full(b - a, np.inf)
-    np.minimum.at(low, ring - a, key)
-    low = np.minimum.accumulate(np.r_[math.inf if best is None else best[0], low[:-1]])
-    stop = np.maximum(np.arange(a, b) - 1, 0) * cell * key_factor > low
-    return a + int(stop.argmax()) if stop.any() else None
+    return float(key[j]), float(border[j]), int(ids[j])
 
 
 # rings 0-3 around the apex cell come from one table of offsets; later
@@ -252,7 +238,6 @@ def _stop_ring(ring, key, a: int, b: int, best, cell: float, key_factor: float):
 _FIRST_RINGS = 4
 _FIRST_DI, _FIRST_DJ = (o.ravel() for o in np.meshgrid(np.arange(-3, 4), np.arange(-3, 4),
                                                       indexing="ij"))
-_FIRST_RING = np.maximum(np.abs(_FIRST_DI), np.abs(_FIRST_DJ))
 _BATCH_CELLS = 1 << 14
 # navmax walks its lattice in blocks of _NAVMAX_BLOCK apexes (blocks of 128
 # to 512 measured faster than whole lattices of 1000 apexes and more) and
@@ -266,53 +251,66 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
                  triangle: bool):
     """Best (key, border, id) over indexed points in the infinite sector.
 
-    Square rings of cells around the apex cell are read in batches.  The
-    scan stops before ring ``k`` once ``(k-1)*cell*key_factor`` exceeds the
-    best key of the rings before it; a batch applies that rule ring by ring,
-    so it returns what a ring-at-a-time scan would.  Cells wholly outside
-    the cone are dropped by their corners, and once a best key exists, so
-    is every cell whose lower key bound (smallest corner projection on the
-    axis, or distance to the apex) exceeds it by more than rounding.
+    Square rings of cells around the apex cell are read in batches; the
+    answer is the smallest candidate of all batches read.  The bounds allow
+    for the inside test's slack (a projection on the axis of at least
+    ``r * (cos(half) - EPS)``, with ``r`` at most ``far``, the apex's
+    distance to the grid's farthest corner), so the scan returns what a pass
+    over every point would:
+
+    - a point of ring ``k`` or beyond has a key of at least
+      ``(k-1)*cell*key_factor - EPS*far``; the scan stops before ring ``k``
+      once that exceeds the best key by more than rounding;
+    - an inside point lies at most ``far * (acos(cos(half) - EPS) - half)``
+      (about ``EPS * far / sin(half)``) outside a border line; a cell
+      farther than that (plus rounding) outside the cone is dropped by its
+      corners;
+    - once a best key exists, so is every cell whose lower key bound
+      (smallest corner projection on the axis, or distance to the apex)
+      exceeds it by more than rounding.
     """
     idx = ps.index
     rect = idx.rect
     ax, ay = apex.real, apex.imag
     i0, j0 = idx.cell_of(ax, ay)
     cell = idx.cell
-    key_factor = math.cos(half) if (triangle and half < 0.5 * math.pi) else \
-        (0.0 if triangle else 1.0)
+    key_factor = max(math.cos(half) - EPS, 0.0) if triangle else 1.0
     convex = half <= 0.5 * math.pi
     ulo = (math.cos(nu - half), math.sin(nu - half))
     uhi = (math.cos(nu + half), math.sin(nu + half))
     c, s = math.cos(nu), math.sin(nu)
     # the bounds and the keys round differently; ties must survive
     slack = 1e-12 * (cell + max(abs(rect.x0), abs(rect.x1), abs(rect.y0), abs(rect.y1)))
+    # no indexed point is farther than ``far`` from the apex, so no key is
+    # more than EPS * far below the bound of its ring
+    far = math.hypot(max(ax - rect.x0, rect.x0 + idx.nx * cell - ax),
+                     max(ay - rect.y0, rect.y0 + idx.ny * cell - ay))
+    low = slack + EPS * far
+    cone = slack + far * (math.acos(math.cos(half) - EPS) - half) if convex else None
     best = None  # (key, border, id)
     kmax = idx.max_ring(i0, j0)
     a = 0
     while a <= kmax:
-        if best is not None and max(0, a - 1) * cell * key_factor > best[0]:
+        if best is not None and max(0, a - 1) * cell * key_factor - low > best[0]:
             break                   # the stop rule
         if a == 0:
             b = _FIRST_RINGS
             ci = i0 + _FIRST_DI
             cj = j0 + _FIRST_DJ
-            ring = _FIRST_RING
             r = _FIRST_RINGS - 1
             if not (r <= i0 < idx.nx - r and r <= j0 < idx.ny - r):
                 # the table reaches past the grid's edge: clip it
                 on = (ci >= 0) & (ci < idx.nx) & (cj >= 0) & (cj < idx.ny)
-                ci, cj, ring = ci[on], cj[on], ring[on]
+                ci, cj = ci[on], cj[on]
         else:
             b = min(2 * a, kmax + 1)
             if best is not None and key_factor > 0.0:
                 # the stop rule ends the scan by this ring
-                b = max(a + 1, min(b, int(best[0] / (cell * key_factor)) + 2))
+                b = max(a + 1, min(b, int((best[0] + low) / (cell * key_factor)) + 2))
             base = idx.count_within(i0, j0, a)
             while b > a + 1 and idx.count_within(i0, j0, b) - base > _BATCH_CELLS:
                 b = (a + b) // 2
             ci, cj = idx.annulus(i0, j0, a, b)
-            ring = np.maximum(np.abs(ci - i0), np.abs(cj - j0))
         x_lo = rect.x0 + ci * cell - ax
         x_hi = x_lo + cell
         y_lo = rect.y0 + cj * cell - ay
@@ -320,13 +318,14 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
         keep = None
         if convex:
             # a cell is wholly outside one of the cone's half-planes when its
-            # largest (smallest) corner cross product with the border is < 0
-            # (> 0); the corner that attains it follows from the signs
+            # largest (smallest) corner cross product with the border is
+            # below -cone (above cone); the corner that attains it follows
+            # from the signs
             lo_max = (ulo[0] * (y_hi if ulo[0] >= 0.0 else y_lo)
                       - ulo[1] * (x_lo if ulo[1] >= 0.0 else x_hi))
             hi_min = (uhi[0] * (y_lo if uhi[0] >= 0.0 else y_hi)
                       - uhi[1] * (x_hi if uhi[1] >= 0.0 else x_lo))
-            keep = ((lo_max >= 0.0) & (hi_min <= 0.0)) | (ring == 0)
+            keep = (lo_max >= -cone) & (hi_min <= cone)
         if best is not None:
             if triangle:
                 bound = (x_lo if c >= 0.0 else x_hi) * c + (y_lo if s >= 0.0 else y_hi) * s
@@ -336,27 +335,12 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
             near = bound <= best[0] + slack
             keep = near if keep is None else keep & near
         cells = ci * idx.ny + cj
-        if keep is not None:
-            cells, ring = cells[keep], ring[keep]
-        ids, ring = idx.gather(cells, ring)
+        ids = idx.gather(cells if keep is None else cells[keep])
         inside, key, border = _candidate_key(ps.xs[ids] - ax, ps.ys[ids] - ay,
                                              nu, half, triangle)
         if inside.any():
-            ids, ring, key, border = ids[inside], ring[inside], key[inside], border[inside]
-            cand, j = _lexmin(key, border, ids)
+            cand = _lexmin(key[inside], border[inside], ids[inside])
             if best is None or cand < best:
-                # the stop rule can end the scan inside this batch, before the
-                # candidate's ring, only if its key is under that ring's bound
-                stop = None
-                if max(0, int(ring[j]) - 1) * cell * key_factor > cand[0]:
-                    stop = _stop_ring(ring, key, a, b, best, cell, key_factor)
-                if stop is not None:
-                    early = ring < stop
-                    if early.any():
-                        cand, _ = _lexmin(key[early], border[early], ids[early])
-                        if best is None or cand < best:
-                            best = cand
-                    return best
                 best = cand
         a = b
     return best

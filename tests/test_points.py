@@ -185,15 +185,19 @@ def test_dedupe_keeps_rows_that_share_only_x():
 
 def test_index_partitions_ids():
     ps = sample_ppp(UNIT, 3000, seed=7)
+
+    def ids_in_cell(i, j):
+        return ps.index.gather(np.array([i * ps.index.ny + j]))
+
     seen = []
     for i in range(ps.index.nx):
         for j in range(ps.index.ny):
-            seen.extend(ps.index.ids_in_cell(i, j).tolist())
+            seen.extend(ids_in_cell(i, j).tolist())
     assert sorted(seen) == list(range(len(ps)))
     # and each id sits in the cell that geometrically contains it
     for i in range(0, ps.index.nx, 7):
         for j in range(0, ps.index.ny, 7):
-            for pid in ps.index.ids_in_cell(i, j):
+            for pid in ids_in_cell(i, j):
                 assert ps.index.cell_of(ps.xs[pid], ps.ys[pid]) == (i, j)
 
 
@@ -365,16 +369,46 @@ def test_nearest_in_sector_tie_in_pruned_batch_survives():
 def test_nearest_in_sector_stop_rule_ring_by_ring_within_a_batch():
     # half-plane ahead of x = 0.505, cells of 0.01: A (ring 0) sits 1e-15
     # behind the line, B (ring 2, the same batch) 1e-14 behind, both within
-    # EPS * r.  The stop rule reads the best key of the rings before each
-    # ring; after ring 0 it is negative, so the scan ends before ring 1 and
-    # returns A, as a ring-at-a-time scan does.
+    # EPS * r.  B has the smaller key, and a negative best key must not end
+    # the scan before ring 2: the stop rule takes a point of ring k to have a
+    # key as low as (k-1)*cell*key_factor - EPS * far, and key_factor is 0 in
+    # a half-plane
     ps = PointSet(np.array([(0.505 - 1e-15, 0.507), (0.505 - 1e-14, 0.525)]), UNIT, 0,
                   ("iid", 10_000))
     apex = 0.505 + 0.505j
     assert ps.index.cell_of(apex.real, apex.imag) == (50, 50)
     assert [ps.index.cell_of(x, y)[1] for x, y in ps.points] == [50, 52]
     got = nearest_in_sector(ps, apex, 0.0, math.pi / 2, "triangle")
-    assert got[2] == 0 and got[1] < 0.0
+    want = brute_nearest(ps, apex, 0.0, math.pi / 2, "triangle")
+    assert want[2] == 1 and want[0] == pytest.approx(-1e-14, rel=0.01)
+    assert got == (complex(*ps.points[1]), want[0], 1)
+
+
+def _halfplane_far_pair():
+    # the half-plane ahead of x + y = 1 from the corner (0, 1) of the unit
+    # square, cells of 0.001: P (ring 848) sits 1.1e-12 behind the line at
+    # r = 1.2, Q (ring 989, a later batch) 1.3e-12 behind it at r = 1.4, both
+    # within EPS * r and by more than the rounding slack of the bounds
+    along, normal = np.array([1.0, -1.0]) / math.sqrt(2), np.array([1.0, 1.0]) / math.sqrt(2)
+    p = np.array([0.0, 1.0]) + 1.2 * along - 1.1e-12 * normal
+    q = np.array([0.0, 1.0]) + 1.4 * along - 1.3e-12 * normal
+    return PointSet(np.array([p, q]), UNIT, 0, ("iid", 1_000_000))
+
+
+@pytest.mark.parametrize("ps, apex, nu, half, shapes, want_id", [
+    # cone test: (0.7, 0.5 - 1e-14) is inside, 1e-14 below the lower border
+    # line, in a cell that lies wholly below that line
+    (PointSet(np.array([(0.7, 0.5 - 1e-14), (0.75, 0.6)]), UNIT, 0, ("iid", 10_000)),
+     0.505 + 0.5j, math.pi / 4, math.pi / 4, ("disk", "triangle"), 0),
+    # stop rule: after P the best key is below minus the rounding slack, yet
+    # Q, farther out, has a smaller key still
+    (_halfplane_far_pair(), 1j, math.pi / 4, math.pi / 2, ("triangle",), 1),
+], ids=["cone-test", "halfplane-far-stop"])
+def test_nearest_in_sector_slack_beyond_a_border_matches_brute_force(ps, apex, nu, half,
+                                                                     shapes, want_id):
+    for shape in shapes:
+        assert brute_nearest(ps, apex, nu, half, shape)[2] == want_id
+        assert_matches_brute(ps, apex, nu, half, shape, None)
 
 
 @settings(max_examples=200)
@@ -392,6 +426,38 @@ def test_nearest_in_sector_property(pts, rate, apex, nu, query, extra):
     shape, half = query
     assert_matches_brute(ps, complex(*apex), nu, half, shape,
                          None if extra is None else complex(*extra))
+
+
+BORDER = DensitySpec.constant(1.0, domain=Rect(-1, -1, 2, 2), inset_a=0.1)
+
+
+@st.composite
+def near_border_sets(draw):
+    """A sector query plus points planted on its border lines and within
+    +-2 * EPS * r / sin(half) of them (an angular offset of at most
+    2 * EPS / sin(half)), around the inside test's limit."""
+    apex = complex(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
+    nu = draw(st.floats(0.0, 2 * math.pi))
+    shape, half = draw(st.one_of(
+        st.tuples(st.just("triangle"), st.just(math.pi / 2) | st.floats(0.01, math.pi / 2)),
+        st.tuples(st.just("disk"), st.just(math.pi / 2) | st.floats(0.01, 3.0))))
+    offset = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]) | st.floats(-2.0, 2.0)
+    planted = draw(st.lists(st.tuples(st.floats(1e-3, 1.0), st.sampled_from([-1, 1]), offset),
+                            min_size=1, max_size=12))
+    pts = [apex + cmath.rect(r, nu + side * (half + t * EPS / math.sin(half)))
+           for r, side, t in planted]
+    others = draw(st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)), max_size=8))
+    # the cell is sized for ``rate`` points: one cell, or cells of 0.3 or 0.03
+    rate = draw(st.sampled_from([1, 100, 10_000]))
+    xy = np.array([(p.real, p.imag) for p in pts] + others, dtype=float)
+    return PointSet(xy, BORDER, 0, ("iid", rate)), apex, nu, half, shape
+
+
+@settings(max_examples=300)
+@given(case=near_border_sets())
+def test_nearest_in_sector_near_border_property(case):
+    ps, apex, nu, half, shape = case
+    assert_matches_brute(ps, apex, nu, half, shape, None)
 
 
 # -- diagnostics ----------------------------------------------------------------
