@@ -13,7 +13,7 @@ from .errors import (ConfigError, DegeneratePair, EmptyInput, EmptyPointSet,
                      OutOfRangeTheta, SegmentLeavesDomain, StepOutOfDomain,
                      TooFewPoints)
 from .geometry import (CrossParams, as_point, corner_point, gamma_path,
-                       hausdorff_distance, sector_index, weighted_gamma_length)
+                       hausdorff_distance, sector_index)
 from .harness import (ExperimentConfig, ResultRow, generate_pairs,
                       render_svg, run_experiment, summarize)
 from .limits import (ConstantsRow, LimitCurve, OdeSpec, constants, euler_solve,

@@ -18,9 +18,6 @@ import numpy as np
 
 from .geometry import as_point
 
-# peak slope of (1 - u^2)^2 on [0, 1], attained at u = 1/sqrt(3)
-_BUMP_SLOPE = 8.0 / (3.0 * math.sqrt(3.0))
-
 
 @dataclass(frozen=True)
 class Rect:
@@ -162,18 +159,17 @@ class DensitySpec:
         d = self.domain
         if self.kind == "constant":
             (c,) = self.params
-            return c, c, 0.0, c * d.area
+            return c, c, c * d.area
         if self.kind == "affine":
             a, b, c = self.params
             corners = [a + b * x + c * y for x in (d.x0, d.x1) for y in (d.y0, d.y1)]
             integral = d.area * (a + b * 0.5 * (d.x0 + d.x1) + c * 0.5 * (d.y0 + d.y1))
-            return min(corners), max(corners), math.hypot(b, c), integral
+            return min(corners), max(corners), integral
         cx, cy, base, amp, rad = self.params
         lo = base + min(0.0, amp)
         hi = base + max(0.0, amp)
-        lip = abs(amp) * _BUMP_SLOPE / rad
         integral = base * d.area + amp * math.pi * rad * rad / 3.0
-        return lo, hi, lip, integral
+        return lo, hi, integral
 
     @property
     def m_f(self) -> float:
@@ -186,13 +182,9 @@ class DensitySpec:
         return self._bounds[1]
 
     @property
-    def lipschitz(self) -> float:
-        return self._bounds[2]
-
-    @property
     def integral(self) -> float:
         """Integral of f over the domain rectangle."""
-        return self._bounds[3]
+        return self._bounds[2]
 
     def normalized(self) -> "DensitySpec":
         """Same profile rescaled to integrate to 1 over the domain."""

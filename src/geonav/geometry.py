@@ -5,8 +5,8 @@ The plane is identified with the complex numbers: a point is a python
 ``[0, 2*pi)`` convention.  The cross around a point ``x`` is the family of
 ``p`` half-lines ``HL_j(x) = x + {r*e^{i*theta*(j-1/2)}, r > 0}`` bounding the
 ``p`` angular sectors ``x + e^{i*k*theta}*Sect(theta)``.  This module indexes
-those sectors, builds the two-leg limit polyline and its weighted length, and
-measures polylines against each other (Hausdorff distance).
+those sectors, builds the two-leg limit polyline, and measures polylines
+against each other (Hausdorff distance).
 
 A decision domain is a sector truncated by a disk cap (radius key) or by a
 line orthogonal to the bisector (projection key).  Which of its points may be
@@ -129,18 +129,6 @@ def gamma_path(s, t, cross: CrossParams) -> list[complex]:
     if i == t:
         return [s, t]
     return [s, i, t]
-
-
-def weighted_gamma_length(s, t, c1: float, c2: float, cross: CrossParams) -> float:
-    """``c1*|corner - s| + c2*|t - corner|`` for positive weights."""
-    if not (c1 > 0.0 and c2 > 0.0):
-        raise ValueError("weights must be positive")
-    s = as_point(s)
-    t = as_point(t)
-    if s == t:
-        return 0.0
-    i = corner_point(s, t, cross)
-    return c1 * abs(i - s) + c2 * abs(t - i)
 
 
 def sample_polyline(poly, step: float) -> np.ndarray:

@@ -20,8 +20,8 @@ import numpy as np
 from .density import DensitySpec, Rect
 from .errors import ConfigError, EmptyInput, NoValidPairs, OutOfRangeTheta
 from .geometry import CrossParams, as_point, gamma_path, hausdorff_distance
-from .limits import (check_theta, limit_path_in_inset, predict_cost,
-                     predict_cross, predict_straight)
+from .limits import (check_theta, hop_moment, limit_path_in_inset,
+                     predict_cost, predict_cross, predict_straight)
 from .navigation import (CROSS_KINDS, DIRECTED_KINDS, NavKind, NavSpec,
                          costs, run)
 from .points import navmax, sample_ppp
@@ -55,14 +55,14 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("euler_h", "hausdorff_resolution", "navmax_grid_step", "grid_step"):
             value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ConfigError(f"{name} must be > 0, got {value!r}")
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
         if not all(math.isfinite(n) and n > 0.0 for n in self.n_values):
             raise ConfigError(f"n_values must be finite and > 0, got {self.n_values!r}")
         if self.seeds_per_n < 0:
             raise ConfigError(f"seeds_per_n must be >= 0, got {self.seeds_per_n!r}")
-        if not all(g >= 0.0 for g in self.exponents):
-            raise ConfigError(f"exponents must be >= 0, got {self.exponents!r}")
+        if not all(0.0 <= g < math.inf for g in self.exponents):
+            raise ConfigError(f"exponents must be finite and >= 0, got {self.exponents!r}")
         if self.max_pairs < 1:
             raise ConfigError(f"max_pairs must be >= 1, got {self.max_pairs!r}")
         # directed kinds are refused by run_experiment: they have no target
@@ -71,6 +71,12 @@ class ExperimentConfig:
                 check_theta(self.nav.kind, self.nav.theta)
             except OutOfRangeTheta as exc:
                 raise ConfigError(str(exc)) from exc
+            # every cost rate must be a finite float, e.g. not Gamma(201)
+            for g in self.exponents:
+                try:
+                    hop_moment(self.nav.kind, self.nav.theta, g)
+                except ValueError as exc:
+                    raise ConfigError(f"exponents: {exc}") from exc
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":

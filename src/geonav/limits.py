@@ -14,6 +14,13 @@ predictions of path length, stage count, and power costs.  Every Euler walk
 has one stop, its target: ``euler_solve(spec, target)`` integrates until the
 walk crosses it.
 
+Every constant a prediction uses is exact: closed forms, and for the hop
+moments ``q`` of the projection-capped family at g outside {0, 1, 2} a
+fixed Gauss-Legendre rule (``hop_moment``).  No prediction samples.
+``mc_constants`` estimates the same hop laws by Monte Carlo from
+``navigation.stage_samples``, with standard errors; it is kept as an
+independent oracle for the closed forms.
+
 One leg rule (``_legs``) gives the shape of every limit trajectory: the
 segment ``[s, t]`` for straight and random-north kinds, or the two legs
 through the corner for cross kinds, each leg with its own ``(lam, q)``
@@ -26,7 +33,7 @@ one cost accumulator per exponent in ``euler_solve``.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +48,7 @@ from .navigation import NavKind, stage_samples
 __all__ = [
     "ConstantsRow", "constants", "McConstants", "mc_constants",
     "OdeSpec", "LimitCurve", "euler_solve", "hit_time", "predict_straight",
-    "predict_cross", "predict_cost", "constants_to_json", "check_theta",
+    "predict_cross", "predict_cost", "check_theta",
     "limit_path_in_inset",
 ]
 
@@ -95,25 +102,52 @@ _T_FAMILY = {NavKind.THETA, NavKind.STRAIGHT_THETA, NavKind.DIRECTED_THETA,
              NavKind.RANDOM_NORTH_THETA}
 
 
-def moment_closed_form(kind: NavKind, theta: float, g: float) -> float | None:
-    """E(|hop|^g) at unit intensity where a closed form exists, else None.
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """The fixed 40-node Gauss-Legendre rule on [-1, 1] (Golub & Welsch
+    1969), built on first use: numpy imports ``numpy.polynomial`` lazily, and
+    that import costs about 2 MB of memory."""
+    return np.polynomial.legendre.leggauss(40)
+
+
+def hop_moment(kind, theta: float, g: float) -> float:
+    """E(|hop|^g) at unit intensity from the exact hop law, never sampled.
 
     Disk-capped hops have ``|hop| = sqrt(2*E/theta)`` for an Exp(1) variable
-    E, giving ``(2/theta)^{g/2} * Gamma(1 + g/2)`` for every g >= 0; the
-    projection-capped family only has simple forms for g in {0, 1, 2}.
+    E, giving ``(2/theta)^{g/2} * Gamma(1 + g/2)`` for every g >= 0.
+    Projection-capped hops advance ``x`` with ``P(x > r) = exp(-r^2 tan b)``,
+    ``b = theta/2``, and step aside ``x*U(-tan b, tan b)``, so
+    ``E|hop|^g = Gamma(1 + g/2) * tan(b)^{-g/2} * I`` with
+    ``I = int_0^1 (1 + tan^2(b) u^2)^{g/2} du = 2F1(-g/2, 1/2; 3/2; -tan^2 b)``
+    (Abramowitz & Stegun 15.1).  The family has simple closed forms at g in
+    {0, 1, 2}; at any other g a fixed 40-node Gauss-Legendre rule takes
+    ``I``, within 1e-13 relative of the exact value for g <= 30 and
+    theta <= pi/2.  Raises ValueError unless g is finite and >= 0 and the
+    moment is a finite float.
     """
-    if g < 0:
-        raise ValueError("g must be >= 0")
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"g must be finite and >= 0, got {g!r}")
     if g == 0:
         return 1.0
-    if kind in _T_FAMILY:
-        if g == 1:
-            return _c_bis_t(theta) * _q_bis_t(theta)
-        if g == 2:
+    try:
+        if NavKind(kind) not in _T_FAMILY:
+            val = (2.0 / theta) ** (g / 2.0) * math.gamma(1.0 + g / 2.0)
+        elif g == 1:
+            val = _c_bis_t(theta) * _q_bis_t(theta)
+        elif g == 2:
             b = theta / 2.0
-            return (1.0 + math.tan(b) ** 2 / 3.0) / math.tan(b)
-        return None
-    return (2.0 / theta) ** (g / 2.0) * math.gamma(1.0 + g / 2.0)
+            val = (1.0 + math.tan(b) ** 2 / 3.0) / math.tan(b)
+        else:
+            tb = math.tan(theta / 2.0)
+            nodes, weights = _gauss_legendre()
+            # the integrand is even in u: I is half the rule's sum on [-1, 1]
+            stretch = 0.5 * float(weights @ (1.0 + tb * tb * nodes ** 2) ** (g / 2.0))
+            val = math.gamma(1.0 + g / 2.0) * tb ** (-g / 2.0) * stretch
+    except (OverflowError, ZeroDivisionError):
+        val = math.inf
+    if not math.isfinite(val):
+        raise ValueError(f"E(|hop|^{g:g}) is not a finite float at theta={theta:g}")
+    return val
 
 
 _RANGES = {
@@ -145,9 +179,6 @@ class ConstantsRow:
     c_bor: float | None = None
     q_bor: float | None = None
     e_xi: float | None = None
-
-    def e_l_pow(self, g: float) -> float | None:
-        return moment_closed_form(self.kind, self.theta, g)
 
     def as_dict(self) -> dict:
         d = {"kind": self.kind.value, "theta": self.theta,
@@ -204,12 +235,7 @@ def constants(kind, theta: float) -> ConstantsRow:
     return ConstantsRow(kind, theta, c_bis=e_x, q_bis=e_l / e_x, e_l=e_l, e_x=e_x)
 
 
-def constants_to_json(rows) -> str:
-    return json.dumps({f"{r.kind.value}@{r.theta:.12g}": r.as_dict() for r in rows},
-                      indent=2, sort_keys=True)
-
-
-# -- Monte Carlo estimates ---------------------------------------------------
+# -- Monte Carlo oracle ------------------------------------------------------
 
 @dataclass(frozen=True)
 class McConstants:
@@ -243,7 +269,8 @@ def mc_constants(kind, theta: float, samples: int, seed: int,
 
     Estimates the bisector and border speeds, the length-to-progress ratios,
     and optionally E(|hop|^g) for each g in ``pow_gs``, all with standard
-    errors.
+    errors.  An oracle for ``constants`` and ``hop_moment``: no prediction
+    calls it.
     """
     kind = NavKind(kind)
     if kind not in (NavKind.DIRECTED_THETA, NavKind.DIRECTED_YAO):
@@ -269,28 +296,6 @@ def mc_constants(kind, theta: float, samples: int, seed: int,
         se_q_bis=_ratio_se(l, x, n), se_q_bor=_ratio_se(l, xi, n),
         e_l_pow=pow_means, se_e_l_pow=pow_ses,
     )
-
-
-_MC_MOMENT_SEED = 20260808
-_MC_MOMENT_SAMPLES = 10_000_000
-_mc_moments: dict = {}
-
-
-def hop_moment(kind: NavKind, theta: float, g: float) -> tuple[float, float]:
-    """E(|hop|^g) and its standard error; closed form (se 0) when available,
-    otherwise a fixed-seed Monte Carlo estimate, cached in memory."""
-    kind = NavKind(kind)
-    cf = moment_closed_form(kind, theta, g)
-    if cf is not None:
-        return cf, 0.0
-    family = NavKind.DIRECTED_THETA if kind in _T_FAMILY else NavKind.DIRECTED_YAO
-    key = (family.value, round(theta, 15), round(float(g), 15))
-    if key in _mc_moments:
-        return _mc_moments[key]
-    mc = mc_constants(family, theta, _MC_MOMENT_SAMPLES, _MC_MOMENT_SEED, pow_gs=(g,))
-    val = (mc.e_l_pow[float(g)], mc.se_e_l_pow[float(g)])
-    _mc_moments[key] = val
-    return val
 
 
 # -- explicit Euler integration ----------------------------------------------
@@ -550,7 +555,7 @@ def predict_cost(kind, theta: float, exponents, s, t, density: DensitySpec,
         return (0.0,) * len(exponents)
     h = h if h is not None else default_step(density)
     angle = theta if p_theta is None else 2.0 * math.pi / p_theta
-    qs = tuple(hop_moment(kind, angle, g)[0] for g in exponents)
+    qs = tuple(hop_moment(kind, angle, g) for g in exponents)
     totals = [0.0] * len(exponents)
     for leg in legs:
         curve = euler_solve(_leg_spec(leg, density, h, cost_q=qs, cost_g=exponents),

@@ -26,7 +26,6 @@ from .points import PointSet, nearest_in_sector
 __all__ = [
     "NavKind", "NavSpec", "PathRecord", "CostReport",
     "next_stop", "run", "run_directed", "costs", "stage_samples",
-    "path_to_csv",
 ]
 
 
@@ -361,16 +360,6 @@ def stage_samples(kind: NavKind, theta: float, count: int, seed: int,
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def path_to_csv(record: PathRecord, path) -> None:
-    """One stop per row: step, x, y, dist_to_target (empty when directed)."""
-    dist = record.dist_to_target() if record.target is not None else None
-    with open(path, "w") as fh:
-        fh.write("step,x,y,dist_to_target\n")
-        for k, (x, y) in enumerate(record.stops):
-            d = "" if dist is None else repr(float(dist[k]))
-            fh.write(f"{k},{float(x)!r},{float(y)!r},{d}\n")
-
 
 def record_to_dict(record: PathRecord) -> dict:
     return {

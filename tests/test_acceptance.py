@@ -193,7 +193,7 @@ def test_A6_moment_constant_consistency():
 def test_A7_quadratic_cost(straight_runs):
     s, t, recs = straight_runs
     # validate the closed-form quadratic hop moment by sampling first
-    q, _ = hop_moment(NavKind.STRAIGHT_THETA, math.pi / 2, 2.0)
+    q = hop_moment(NavKind.STRAIGHT_THETA, math.pi / 2, 2.0)
     mc = mc_constants("directed-t", math.pi / 2, 10 ** 6, seed=17000, pow_gs=(2.0,))
     z = abs(mc.e_l_pow[2.0] - q) / mc.se_e_l_pow[2.0]
     (pred,) = predict_cost("straight-t", math.pi / 2, (2.0,), s, t, UNIT)

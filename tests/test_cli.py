@@ -24,6 +24,7 @@ def test_limits_straight_t(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["q_bis"] == pytest.approx(1.147794, abs=1e-4)
+    assert "c_bor" not in obj and "q_bor" not in obj   # one leg: no border row
 
 
 def test_limits_with_pair_prediction(capsys):
@@ -154,7 +155,11 @@ def test_experiment_missing_key_is_config_error(tmp_path, capsys):
     {"navmax_grid_step": -0.1}, {"grid_step": 0.0, "pairs": None},
     {"exponents": [0.0, -1.0]}, {"max_pairs": 0},
     {"n_values": [-5.0]}, {"n_values": [400.0, math.nan]}, {"seeds_per_n": -2},
-    {"n_values": []}, {"seeds_per_n": 0}])
+    {"n_values": []}, {"seeds_per_n": 0},
+    {"exponents": [400.0]},
+    {"exponents": [400.0], "nav": {"kind": "straight-yao", "theta": 1.2}},
+    {"exponents": [math.inf]}, {"euler_h": math.inf}, {"hausdorff_resolution": math.inf},
+    {"navmax_grid_step": math.inf}, {"grid_step": math.inf, "pairs": None}])
 def test_experiment_invalid_value_is_config_error(tmp_path, capsys, change):
     # refused before any sampling or prediction
     cfg = write_config(tmp_path, **change)

@@ -5,12 +5,21 @@ import numpy as np
 import pytest
 
 from geonav import (CrossParams, DegeneratePair, DensitySpec, PointSet, Rect,
-                    nearest_in_sector)
+                    constants, nearest_in_sector)
 from geonav.geometry import (corner_point, gamma_path, hausdorff_distance,
-                             norm_angle, sector_index, sector_of_angle,
-                             weighted_gamma_length)
+                             norm_angle, sector_index, sector_of_angle)
+from geonav.limits import _legs
 
 DEG = math.pi / 180.0
+# a domain wide enough that no limit polyline below leaves its inset
+PLANE = DensitySpec.constant(1.0, domain=Rect(-100, -100, 100, 100))
+
+
+def leg_length(s, t, p, weighted=True):
+    """The limit length rule: ``sum(q * |b - a|)`` over the legs of the
+    ``t`` kind, or their plain length with ``weighted=False``."""
+    return sum((q if weighted else 1.0) * abs(b - a)
+               for a, b, _, q in _legs("t", None, p, s, t, PLANE))
 
 
 # -- independent oracles -----------------------------------------------------
@@ -222,19 +231,20 @@ def test_weighted_length_collapses_to_euclidean():
         t = complex(rng.normal(), rng.normal())
         if s == t:
             continue
-        w = weighted_gamma_length(s, t, 1.0, 1.0, CrossParams(6))
+        w = leg_length(s, t, 6, weighted=False)
         i = corner_point(s, t, CrossParams(6))
         assert w == pytest.approx(abs(i - s) + abs(t - i))
         assert w >= abs(t - s) - 1e-12
 
 
 def test_weighted_length_zero_and_example():
-    assert weighted_gamma_length(2j, 2j, 1.0, 2.0, CrossParams(6)) == 0.0
+    assert _legs("t", None, 6, 2j, 2j, PLANE) == []
+    assert leg_length(2j, 2j, 6) == 0.0
     t = cmath.rect(1.0, 20 * DEG)
     i = corner_oracle(0j, t, 6)
-    c1, c2 = 1.053063, 1.215973
-    expect = c1 * abs(i) + c2 * abs(t - i)
-    got = weighted_gamma_length(0j, t, c1, c2, CrossParams(6))
+    row = constants("t", math.pi / 3)
+    expect = row.q_bis * abs(i) + row.q_bor * abs(t - i)
+    got = leg_length(0j, t, 6)
     assert got == pytest.approx(expect, abs=1e-12)
     assert got == pytest.approx(1.19750, abs=5e-5)
 
@@ -252,8 +262,9 @@ def test_scale_equivariance():
         assert sector_index(lam * s, lam * t, cross) == sector_index(s, t, cross)
         i = corner_point(s, t, cross)
         assert corner_point(lam * s, lam * t, cross) == pytest.approx(lam * i)
-        assert weighted_gamma_length(lam * s, lam * t, 1.3, 0.7, cross) == \
-            pytest.approx(lam * weighted_gamma_length(s, t, 1.3, 0.7, cross))
+        if p >= 6:   # the t kind's constants need theta <= pi/3
+            assert leg_length(lam * s, lam * t, p) == \
+                pytest.approx(lam * leg_length(s, t, p))
 
 
 # -- Hausdorff distance ---------------------------------------------------------

@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 
 import numpy as np
@@ -146,33 +145,63 @@ def test_mc_constants_match_closed_forms():
 
 
 def test_hop_moment_closed_forms_and_mc():
-    # projection-capped g=2 closed form, checked against sampling
-    val, se = hop_moment(NavKind.STRAIGHT_THETA, math.pi / 2, 2.0)
-    assert se == 0.0 and val == pytest.approx(4.0 / 3.0)
-    mc = mc_constants("directed-t", math.pi / 2, 400_000, seed=72, pow_gs=(2.0,))
+    # projection-capped g=2 closed form and g=1.5 quadrature, checked
+    # against sampling
+    val = hop_moment(NavKind.STRAIGHT_THETA, math.pi / 2, 2.0)
+    assert type(val) is float and val == pytest.approx(4.0 / 3.0)
+    mc = mc_constants("directed-t", math.pi / 2, 400_000, seed=72, pow_gs=(2.0, 1.5))
     assert abs(mc.e_l_pow[2.0] - val) <= 3 * mc.se_e_l_pow[2.0]
+    val = hop_moment(NavKind.STRAIGHT_THETA, math.pi / 2, 1.5)
+    assert abs(mc.e_l_pow[1.5] - val) <= 4 * mc.se_e_l_pow[1.5]
     # disk-capped closed form at any g
-    val_y, se_y = hop_moment(NavKind.YAO, math.pi / 3, 3.0)
-    assert se_y == 0.0
+    val_y = hop_moment(NavKind.YAO, math.pi / 3, 3.0)
+    assert type(val_y) is float
     assert val_y == pytest.approx((2.0 / (math.pi / 3)) ** 1.5 * math.gamma(2.5))
 
 
-def test_hop_moment_mc_fallback():
-    # no closed form for the projection-capped family at fractional g;
-    # the Monte Carlo estimate must match an independent quadrature oracle
-    theta = math.pi / 2
-    g = 1.5
+def oracle_hop_moment_t(theta, g):
+    """E(|hop|^g) of the projection-capped law by quadrature: the advance
+    has E(x^g) = Gamma(1 + g/2) tan(b)^{-g/2}, and |hop| = x sqrt(1 + v^2)
+    with v uniform on (-tan b, tan b)."""
     b = theta / 2.0
     e_x_pow = math.gamma(1.0 + g / 2.0) / math.tan(b) ** (g / 2.0)
     stretch, _ = integrate.quad(
         lambda v: (1.0 + math.tan(b) ** 2 * v * v) ** (g / 2.0), 0, 1)
-    oracle = e_x_pow * stretch
-    val, se = hop_moment(NavKind.STRAIGHT_THETA, theta, g)
-    assert se > 0.0
-    assert abs(val - oracle) <= 4 * se
-    # cached: second call returns the identical value
-    val2, se2 = hop_moment(NavKind.STRAIGHT_THETA, theta, g)
-    assert (val2, se2) == (val, se)
+    return e_x_pow * stretch
+
+
+@pytest.mark.parametrize("theta", [1e-4, 0.2, math.pi / 6, math.pi / 3, 0.7, math.pi / 2])
+def test_hop_moment_matches_quadrature_oracle(theta):
+    for g in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 10.0):
+        for kind in ("straight-t", "t", "random-north-t", "directed-t"):
+            got = hop_moment(kind, theta, g)
+            assert type(got) is float
+            assert got == pytest.approx(oracle_hop_moment_t(theta, g), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("theta", [0.2, math.pi / 3, 0.7, math.pi / 2])
+def test_hop_moment_keeps_the_closed_forms(theta):
+    # bit for bit the closed forms the harness CSVs were written with
+    b = theta / 2.0
+    for kind in ("straight-t", "t", "random-north-t"):
+        assert hop_moment(kind, theta, 0.0) == 1.0
+        c_bis = 0.5 * math.sqrt(math.pi / math.tan(theta / 2.0))
+        q_bis = 0.5 * (1.0 / math.cos(b) + math.asinh(math.tan(b)) / math.tan(b))
+        assert hop_moment(kind, theta, 1.0) == c_bis * q_bis
+        assert hop_moment(kind, theta, 2.0) == (1.0 + math.tan(b) ** 2 / 3.0) / math.tan(b)
+    for kind in ("straight-yao", "yao", "random-north-y"):
+        for g in (0.0, 0.5, 1.0, 2.0, 3.0, 10.0):
+            assert hop_moment(kind, theta, g) == \
+                (2.0 / theta) ** (g / 2.0) * math.gamma(1.0 + g / 2.0)
+
+
+@pytest.mark.parametrize("kind,theta,g", [
+    ("straight-t", math.pi / 2, -1.0), ("straight-t", math.pi / 2, math.nan),
+    ("straight-t", math.pi / 2, math.inf), ("straight-t", math.pi / 2, 400.0),
+    ("straight-yao", 1.2, 400.0), ("t", 1e-300, 3.0)])
+def test_hop_moment_refuses_what_is_not_a_finite_float(kind, theta, g):
+    with pytest.raises(ValueError):
+        hop_moment(kind, theta, g)
 
 
 # -- Euler solver -------------------------------------------------------------------
@@ -408,28 +437,38 @@ def test_predict_cost_walks_each_leg_once(monkeypatch):
         assert walks == []
 
 
+def test_predict_cost_never_samples(monkeypatch):
+    # every cost rate is exact: no prediction draws from the hop law, at
+    # exponents off the closed forms too
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prediction sampled the hop law")
+
+    monkeypatch.setattr(limits, "stage_samples", refuse)
+    cases = [("straight-t", math.pi / 2, None, 0.2 + 0.5j, 0.8 + 0.5j),
+             ("t", math.pi / 3, 6, 0j, cmath.rect(1.0, 20 * DEG))]
+    for kind, theta, p, s, t in cases:
+        got = predict_cost(kind, theta, (0.5, 1.5, 3.0), s, t, WIDE, p_theta=p)
+        assert len(got) == 3
+        assert all(type(c) is float and math.isfinite(c) and c > 0.0 for c in got)
+
+
 def test_predict_cost_cross_needs_p_theta():
     with pytest.raises(ValueError):
         predict_cost("t", math.pi / 3, (1.0,), 0j, 0.5 + 0j, WIDE)
 
 
-def test_constants_json_dump():
-    from geonav.limits import constants_to_json
-    rows = [constants("straight-t", math.pi / 2), constants("t", math.pi / 3)]
-    obj = json.loads(constants_to_json(rows))
-    key = f"t@{math.pi / 3:.12g}"
-    assert obj[key]["q_bor"] == pytest.approx(1.215973, abs=1e-6)
-    assert "c_bor" not in obj[f"straight-t@{math.pi / 2:.12g}"]
-
-
 def test_weighted_length_equality_iff_on_bisector():
-    import cmath as _c
-    from geonav import CrossParams, weighted_gamma_length
-    cross = CrossParams(6)
-    on = _c.rect(0.5, 2 * math.pi / 6)
-    off = _c.rect(0.5, 2 * math.pi / 6 + 0.2)
-    assert weighted_gamma_length(0j, on, 1, 1, cross) == pytest.approx(0.5)
-    assert weighted_gamma_length(0j, off, 1, 1, cross) > 0.5 + 1e-6
+    # the legs' polyline is as long as the segment only when t lies on a
+    # bisector, where one leg at the bisector constants remains
+    row = constants("t", math.pi / 3)
+    on = cmath.rect(0.5, 2 * math.pi / 6)
+    off = cmath.rect(0.5, 2 * math.pi / 6 + 0.2)
+    legs = limits._legs("t", None, 6, 0j, on, WIDE)
+    assert [(lam, q) for _, _, lam, q in legs] == [(row.c_bis, row.q_bis)]
+    assert sum(abs(b - a) for a, b, _, _ in legs) == pytest.approx(0.5)
+    assert sum(q * abs(b - a) for a, b, _, q in legs) == pytest.approx(row.q_bis * 0.5)
+    legs = limits._legs("t", None, 6, 0j, off, WIDE)
+    assert sum(abs(b - a) for a, b, _, _ in legs) > 0.5 + 1e-6
 
 
 # -- golden predictions ----------------------------------------------------------------

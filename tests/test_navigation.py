@@ -272,23 +272,6 @@ def test_random_north_run_reaches_target():
     assert rec.monotone_approach()
 
 
-def test_path_record_csv(tmp_path):
-    from geonav.navigation import path_to_csv
-    spec = NavSpec(kind=NavKind.STRAIGHT_THETA, theta=math.pi / 2)
-    ps = sample_ppp(UNIT, 1000, seed=62)
-    rec = run(spec, 0.2 + 0.5j, 0.8 + 0.5j, ps)
-    out = tmp_path / "path.csv"
-    path_to_csv(rec, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "step,x,y,dist_to_target"
-    assert len(lines) == len(rec.stops) + 1
-    first = lines[1].split(",")
-    assert first[:3] == ["0", "0.2", "0.5"]
-    assert float(first[3]) == pytest.approx(0.6)
-    last = lines[-1].split(",")
-    assert float(last[3]) == 0.0
-
-
 def test_path_record_svg(tmp_path):
     from geonav.harness import render_svg
     spec = NavSpec(kind=NavKind.YAO, p_theta=6)
