@@ -82,12 +82,15 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         try:
             density = DensitySpec.from_dict(obj["density"])
-            nav = NavSpec(kind=NavKind(obj["nav"]["kind"]),
-                          theta=obj["nav"].get("theta"),
-                          p_theta=obj["nav"].get("p_theta"),
-                          alpha=obj["nav"].get("alpha", 0.0),
-                          north_seed=obj["nav"].get("north_seed"),
-                          max_steps=obj["nav"].get("max_steps"))
+            try:
+                nav = NavSpec(kind=NavKind(obj["nav"]["kind"]),
+                              theta=obj["nav"].get("theta"),
+                              p_theta=obj["nav"].get("p_theta"),
+                              alpha=obj["nav"].get("alpha", 0.0),
+                              north_seed=obj["nav"].get("north_seed"),
+                              max_steps=obj["nav"].get("max_steps"))
+            except ValueError as exc:
+                raise ConfigError(f"nav: {exc}") from exc
             pairs = obj.get("pairs")
             if pairs is not None:
                 pairs = tuple((complex(*s), complex(*t)) for s, t in pairs)

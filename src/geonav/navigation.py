@@ -66,7 +66,8 @@ class NavSpec:
     """Navigation kind plus its sector angle.
 
     Cross and random-north kinds take ``p_theta`` (the angle is
-    ``2*pi/p_theta``); straight and directed kinds take ``theta`` directly.
+    ``2*pi/p_theta``); straight and directed kinds take ``theta`` directly
+    and refuse a ``p_theta``.
     ``alpha`` is the constant axis of directed kinds; ``north_seed`` seeds
     the per-point axis offsets of random-north kinds.
     """
@@ -88,6 +89,8 @@ class NavSpec:
         else:
             if self.theta is None or not 0.0 < self.theta < TWO_PI:
                 raise ValueError(f"{kind.value} needs theta in (0, 2*pi)")
+            if self.p_theta is not None:
+                raise ValueError(f"{kind.value} takes theta, not p_theta")
             if kind not in DISK_KINDS and not self.theta <= math.pi + EPS:
                 # the projection cap needs tan(theta/2) >= 0
                 raise ValueError(f"{kind.value} needs theta <= pi")

@@ -4,11 +4,15 @@ Sampling is deterministic given a seed.  The grid index stores point ids in
 CSR layout (ids sorted by cell, plus per-cell offsets).  Sector queries read
 square rings of cells around the apex in batches through the same gather,
 drop cells that cannot meet the query cone or whose lower key bound exceeds
-the best key so far, and stop as soon as no unvisited ring can beat it.
+the best key so far, and stop as soon as no unvisited ring can beat it.  A
+query's target is scored with its first batch, as id -1.
 
 The diagnostics run on one vectorised cell-list gather
-(``GridIndex.gather``): ``navmax`` flattens its lattice of apexes and moves
-each block of ``_NAVMAX_BLOCK`` apexes ring by ring in lockstep, and
+(``GridIndex.gather``).  ``navmax`` and ``maxball`` share one lattice of the
+inset domain and one kernel, ``_gather_around``, which reads the cells at
+given offsets around each lattice point: ``navmax`` moves each block of
+``_NAVMAX_BLOCK`` lattice apexes ring by ring in lockstep, and ``maxball``
+reads, for every centre at once, the cells that can meet its ball.
 ``r_min`` pairs every point with its forward half-neighbourhood in one pass
 per cell offset.
 """
@@ -39,17 +43,26 @@ class GridIndex:
         self.cell = cell
         self.nx = max(1, math.ceil(rect.width / cell))
         self.ny = max(1, math.ceil(rect.height / cell))
-        ix = np.clip(((xs - rect.x0) / cell).astype(np.int64), 0, self.nx - 1)
-        iy = np.clip(((ys - rect.y0) / cell).astype(np.int64), 0, self.ny - 1)
+        ix, iy = self.cells_of(xs, ys)
         flat = ix * self.ny + iy
         self.order = np.argsort(flat, kind="stable")
         self.starts = np.zeros(self.nx * self.ny + 1, dtype=np.int64)
         np.cumsum(np.bincount(flat, minlength=self.nx * self.ny), out=self.starts[1:])
+        # bounds from cell corners and exact distances may round this far apart
+        self.slack = 1e-12 * (cell + max(abs(rect.x0), abs(rect.x1), abs(rect.y0), abs(rect.y1)))
+        # the box of cells that hold a point: (i_lo, i_hi, j_lo, j_hi)
+        self.box = ((int(ix.min()), int(ix.max()), int(iy.min()), int(iy.max()))
+                    if len(flat) else (0, -1, 0, -1))
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         i = min(self.nx - 1, max(0, int((x - self.rect.x0) / self.cell)))
         j = min(self.ny - 1, max(0, int((y - self.rect.y0) / self.cell)))
         return i, j
+
+    def cells_of(self, xs: np.ndarray, ys: np.ndarray):
+        """``cell_of`` for arrays: the columns of ``xs`` and the rows of ``ys``."""
+        return (np.clip(((xs - self.rect.x0) / self.cell).astype(np.int64), 0, self.nx - 1),
+                np.clip(((ys - self.rect.y0) / self.cell).astype(np.int64), 0, self.ny - 1))
 
     def gather(self, cells: np.ndarray, owners: np.ndarray | None = None):
         """Point ids in the flat ``cells`` (``i * ny + j``); ids of one cell
@@ -85,7 +98,9 @@ class GridIndex:
                 * (min(j0 + m - 1, self.ny - 1) - max(j0 - m + 1, 0) + 1))
 
     def max_ring(self, i0: int, j0: int) -> int:
-        return max(i0, self.nx - 1 - i0, j0, self.ny - 1 - j0)
+        """The last ring around ``(i0, j0)`` that meets ``box`` (0 if empty)."""
+        ilo, ihi, jlo, jhi = self.box
+        return max(i0 - ilo, ihi - i0, j0 - jlo, jhi - j0) if ilo <= ihi else 0
 
 
 def _ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
@@ -233,23 +248,23 @@ def _lexmin(key, border, ids):
 
 
 # rings 0-3 around the apex cell come from one table of offsets; later
-# rings are read in annuli of at most _BATCH_CELLS cells, which bounds the
-# temporary arrays of a scan that never exits early (the half-plane)
+# rings are read in annuli.  A sector scan's batch and a pass of
+# _gather_around read at most _PASS_CELLS cells, which bounds the temporary
+# arrays of a scan that never exits early (the half-plane) and of the
+# diagnostics on a sparse set
 _FIRST_RINGS = 4
 _FIRST_DI, _FIRST_DJ = (o.ravel() for o in np.meshgrid(np.arange(-3, 4), np.arange(-3, 4),
                                                       indexing="ij"))
-_BATCH_CELLS = 1 << 14
+_PASS_CELLS = 1 << 14
 # navmax walks its lattice in blocks of _NAVMAX_BLOCK apexes (blocks of 128
-# to 512 measured faster than whole lattices of 1000 apexes and more) and
-# reads at most _NAVMAX_CELLS cells a pass, which keeps the arrays small on a
-# sparse set, whose apexes read out to the grid's edge
+# to 512 measured faster than whole lattices of 1000 apexes and more)
 _NAVMAX_BLOCK = 512
-_NAVMAX_CELLS = 1 << 16
 
 
 def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
-                 triangle: bool):
-    """Best (key, border, id) over indexed points in the infinite sector.
+                 triangle: bool, extra: complex | None):
+    """Best (key, border, id) over indexed points and ``extra`` (id -1, in
+    the first batch) in the infinite sector.
 
     Square rings of cells around the apex cell are read in batches; the
     answer is the smallest candidate of all batches read.  The bounds allow
@@ -279,8 +294,7 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
     ulo = (math.cos(nu - half), math.sin(nu - half))
     uhi = (math.cos(nu + half), math.sin(nu + half))
     c, s = math.cos(nu), math.sin(nu)
-    # the bounds and the keys round differently; ties must survive
-    slack = 1e-12 * (cell + max(abs(rect.x0), abs(rect.x1), abs(rect.y0), abs(rect.y1)))
+    slack = idx.slack               # the bounds and the keys round differently
     # no indexed point is farther than ``far`` from the apex, so no key is
     # more than EPS * far below the bound of its ring
     far = math.hypot(max(ax - rect.x0, rect.x0 + idx.nx * cell - ax),
@@ -308,7 +322,7 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
                 # the stop rule ends the scan by this ring
                 b = max(a + 1, min(b, int((best[0] + low) / (cell * key_factor)) + 2))
             base = idx.count_within(i0, j0, a)
-            while b > a + 1 and idx.count_within(i0, j0, b) - base > _BATCH_CELLS:
+            while b > a + 1 and idx.count_within(i0, j0, b) - base > _PASS_CELLS:
                 b = (a + b) // 2
             ci, cj = idx.annulus(i0, j0, a, b)
         x_lo = rect.x0 + ci * cell - ax
@@ -336,8 +350,10 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
             keep = near if keep is None else keep & near
         cells = ci * idx.ny + cj
         ids = idx.gather(cells if keep is None else cells[keep])
-        inside, key, border = _candidate_key(ps.xs[ids] - ax, ps.ys[ids] - ay,
-                                             nu, half, triangle)
+        xs, ys = ps.xs[ids], ps.ys[ids]
+        if a == 0 and extra is not None:
+            ids, xs, ys = np.append(ids, -1), np.append(xs, extra.real), np.append(ys, extra.imag)
+        inside, key, border = _candidate_key(xs - ax, ys - ay, nu, half, triangle)
         if inside.any():
             cand = _lexmin(key[inside], border[inside], ids[inside])
             if best is None or cand < best:
@@ -378,21 +394,13 @@ def nearest_in_sector(ps: PointSet, apex, direction: float, half_angle: float,
     # would be unbounded below); the triangle family stops there
     if triangle and half_angle > 0.5 * math.pi + EPS:
         raise ValueError("triangle queries need half_angle <= pi/2")
-    best = _sector_scan(ps, apex, nu, half_angle, triangle) if len(ps) else None
-    if extra is not None:
-        t = as_point(extra)
-        inside, key, border = _candidate_key(np.array([t.real - apex.real]),
-                                             np.array([t.imag - apex.imag]),
-                                             nu, half_angle, triangle)
-        if inside[0]:
-            cand = (float(key[0]), float(border[0]), -1)
-            if best is None or cand < best:
-                best = cand
+    extra = None if extra is None else as_point(extra)
+    best = _sector_scan(ps, apex, nu, half_angle, triangle, extra)
     if best is None:
         return None
     key, _, pid = best
     if pid == -1:
-        return as_point(extra), key, -1
+        return extra, key, -1
     return complex(ps.xs[pid], ps.ys[pid]), key, pid
 
 
@@ -423,16 +431,7 @@ def navmax(ps: PointSet, theta: float, grid_step: float, directions: int = 64) -
         raise ValueError(f"grid_step must be finite and > 0, got {grid_step!r}")
     if len(ps) == 0:
         raise EmptyPointSet("navmax needs a non-empty point set")
-    inset = ps.density.domain.inset(ps.density.inset_a)
-    idx = ps.index
-    axs = np.arange(inset.x0, inset.x1 + 1e-9, grid_step)
-    ays = np.arange(inset.y0, inset.y1 + 1e-9, grid_step)
-    # the cells of the lattice columns and rows, as GridIndex.cell_of
-    i0 = np.clip(((axs - idx.rect.x0) / idx.cell).astype(np.int64), 0, idx.nx - 1)
-    j0 = np.clip(((ays - idx.rect.y0) / idx.cell).astype(np.int64), 0, idx.ny - 1)
-    # the whole lattice as flat apexes, column by column
-    ax, ay = np.repeat(axs, len(ays)), np.tile(ays, len(axs))
-    ai, aj = np.repeat(i0, len(ays)), np.tile(j0, len(axs))
+    ax, ay, ai, aj = _lattice(ps, grid_step)
     worst = 0.0
     for lo in range(0, len(ax), _NAVMAX_BLOCK):
         blk = slice(lo, lo + _NAVMAX_BLOCK)
@@ -444,6 +443,36 @@ def navmax(ps: PointSet, theta: float, grid_step: float, directions: int = 64) -
     return worst
 
 
+def _lattice(ps: PointSet, grid_step: float):
+    """The diagnostics' lattice of the inset domain, column by column:
+    arrays ``(x, y, i, j)`` of its points and their cells."""
+    inset = ps.density.domain.inset(ps.density.inset_a)
+    xs = np.arange(inset.x0, inset.x1 + 1e-9, grid_step)
+    ys = np.arange(inset.y0, inset.y1 + 1e-9, grid_step)
+    i, j = ps.index.cells_of(xs, ys)
+    return (np.repeat(xs, len(ys)), np.tile(ys, len(xs)),
+            np.repeat(i, len(ys)), np.tile(j, len(xs)))
+
+
+def _gather_around(idx: GridIndex, i0: np.ndarray, j0: np.ndarray, di: np.ndarray,
+                   dj: np.ndarray):
+    """Per pass, ``(ids, apex)``: the ids in the cells at offsets ``(di, dj)``
+    around each apex cell ``(i0[a], j0[a])``, clipped to ``idx.box``, each
+    paired with its apex's index ``a``.  A pass reads at most
+    ``_PASS_CELLS`` cells."""
+    ilo, ihi, jlo, jhi = idx.box
+    width = min(len(di), _PASS_CELLS)
+    for o in range(0, len(di), width):
+        odi, odj = di[o:o + width], dj[o:o + width]
+        per = _PASS_CELLS // len(odi)
+        for lo in range(0, len(i0), per):
+            ci = i0[lo:lo + per, None] + odi
+            cj = j0[lo:lo + per, None] + odj
+            ok = (ci >= ilo) & (ci <= ihi) & (cj >= jlo) & (cj <= jhi)
+            apex = np.broadcast_to(np.arange(lo, lo + len(ci))[:, None], ci.shape)
+            yield idx.gather(ci[ok] * idx.ny + cj[ok], apex[ok])
+
+
 def _sector_radii(ps: PointSet, ax: np.ndarray, ay: np.ndarray, i0: np.ndarray,
                   j0: np.ndarray, half: float, nbins: int) -> np.ndarray:
     """Per apex ``(ax[a], ay[a])``, in cell ``(i0[a], j0[a])``, and aim bin:
@@ -451,13 +480,12 @@ def _sector_radii(ps: PointSet, ax: np.ndarray, ay: np.ndarray, i0: np.ndarray,
     the sector is empty).
 
     The apexes read the square rings of cells around their own cells in
-    lockstep: ring ``k`` for every active apex (in passes of at most
-    ``_NAVMAX_CELLS`` cells) before ring ``k + 1``.  An apex retires before
-    ring ``k`` once every aim bin holds a point and ``(k - 1) * cell`` is at
-    least its largest bin radius: no point of ring ``k`` or beyond is nearer.
-    An apex with an empty aim stays to the last ring any apex of the block
-    has (a ring past its own last ring is empty).  Which apexes share a
-    block or a pass changes no radius.
+    lockstep: ring ``k`` for every active apex (through ``_gather_around``)
+    before ring ``k + 1``.  An apex retires before ring ``k`` once every aim
+    bin holds a point and ``(k - 1) * cell`` is at least its largest bin
+    radius: no point of ring ``k`` or beyond is nearer.  An apex with an
+    empty aim retires after its last ring that meets the box of cells that
+    hold a point.  Which apexes share a block or a pass changes no radius.
     """
     idx = ps.index
     bin_w = 2.0 * math.pi / nbins
@@ -467,30 +495,18 @@ def _sector_radii(ps: PointSet, ax: np.ndarray, ay: np.ndarray, i0: np.ndarray,
     turns = np.full((len(ax), 2 * nbins), np.inf)
     flat = turns.reshape(-1)
     active = np.arange(len(ax))
-    kmax = int(np.maximum(np.maximum(i0, idx.nx - 1 - i0),
-                          np.maximum(j0, idx.ny - 1 - j0)).max())
-    # rings up to this one lie inside the grid for every apex
-    inner = int(np.minimum(np.minimum(i0, idx.nx - 1 - i0),
-                           np.minimum(j0, idx.ny - 1 - j0)).min())
-    for k in range(kmax + 1):
+    ilo, ihi, jlo, jhi = idx.box      # no ring past ``last`` meets the box
+    last = np.maximum(np.maximum(i0 - ilo, ihi - i0), np.maximum(j0 - jlo, jhi - j0))
+    for k in range(int(last.max()) + 1):
         # an empty bin makes the largest radius inf, which keeps the apex
         worst = np.minimum(turns[active, :nbins], turns[active, nbins:]).max(axis=1)
-        active = active[(k - 1) * idx.cell < worst]
+        active = active[((k - 1) * idx.cell < worst) & (k <= last[active])]
         if not len(active):
             break
-        di, dj = _ring_offsets(k)
-        for part in np.array_split(active, math.ceil(len(active) * len(di) / _NAVMAX_CELLS)):
-            ci = i0[part, None] + di
-            cj = j0[part, None] + dj
-            cells = ci * idx.ny + cj
-            owner = np.broadcast_to(part[:, None], cells.shape)
-            if k > inner:
-                # the ring reaches past the grid's edge for some apex: clip it
-                ok = (ci >= 0) & (ci < idx.nx) & (cj >= 0) & (cj < idx.ny)
-                cells, owner = cells[ok], owner[ok]
-            ids, owner = idx.gather(cells.ravel(), owner.ravel())
+        for ids, owner in _gather_around(idx, i0[active], j0[active], *_ring_offsets(k)):
             if not len(ids):
                 continue
+            owner = active[owner]
             dx = ps.xs[ids] - ax[owner]
             dy = ps.ys[ids] - ay[owner]
             r = np.hypot(dx, dy)
@@ -529,26 +545,19 @@ def maxball(ps: PointSet, r: float, grid_step: float) -> int:
         raise ValueError(f"grid_step must be finite and > 0, got {grid_step!r}")
     if len(ps) == 0:
         return 0
-    inset = ps.density.domain.inset(ps.density.inset_a)
-    cx = np.arange(inset.x0, inset.x1 + 1e-9, grid_step)
-    cy = np.arange(inset.y0, inset.y1 + 1e-9, grid_step)
-    counts = np.zeros((len(cx), len(cy)), dtype=np.int64)
-    # stencil pass: each point contributes to every lattice center within r
-    base_i = np.floor((ps.xs - inset.x0) / grid_step).astype(np.int64)
-    base_j = np.floor((ps.ys - inset.y0) / grid_step).astype(np.int64)
-    reach = math.ceil(r / grid_step) + 1
-    for di in range(-reach, reach + 1):
-        ii = base_i + di
-        ok_i = (ii >= 0) & (ii < len(cx))
-        for dj in range(-reach, reach + 1):
-            jj = base_j + dj
-            ok = ok_i & (jj >= 0) & (jj < len(cy))
-            if not ok.any():
-                continue
-            d2 = (ps.xs[ok] - cx[ii[ok]]) ** 2 + (ps.ys[ok] - cy[jj[ok]]) ** 2
-            hit = d2 < r * r
-            if hit.any():
-                np.add.at(counts, (ii[ok][hit], jj[ok][hit]), 1)
+    idx = ps.index
+    cx, cy, ci, cj = _lattice(ps, grid_step)
+    # the cells that can meet a ball centred in cell (0, 0): rings out to a
+    # one-cell margin, less those whose axis gaps of |d| - 1 cells already
+    # reach r by more than rounding (a point or a centre within an ulp of a
+    # cell border may be filed in the next cell)
+    m = min(math.ceil(r / idx.cell) + 1, max(idx.nx, idx.ny))
+    gap = np.maximum(np.abs(np.arange(-m, m + 1)) - 1, 0) * idx.cell
+    di, dj = np.nonzero(np.hypot(gap[:, None], gap) < r * (1.0 + 1e-12) + idx.slack)
+    counts = np.zeros(len(cx), dtype=np.int64)
+    for ids, c in _gather_around(idx, ci, cj, di - m, dj - m):
+        d2 = (ps.xs[ids] - cx[c]) ** 2 + (ps.ys[ids] - cy[c]) ** 2
+        counts += np.bincount(c[d2 < r * r], minlength=len(cx))
     return int(counts.max())
 
 

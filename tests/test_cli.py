@@ -159,7 +159,8 @@ def test_experiment_missing_key_is_config_error(tmp_path, capsys):
     {"exponents": [400.0]},
     {"exponents": [400.0], "nav": {"kind": "straight-yao", "theta": 1.2}},
     {"exponents": [math.inf]}, {"euler_h": math.inf}, {"hausdorff_resolution": math.inf},
-    {"navmax_grid_step": math.inf}, {"grid_step": math.inf, "pairs": None}])
+    {"navmax_grid_step": math.inf}, {"grid_step": math.inf, "pairs": None},
+    {"nav": {"kind": "straight-t", "theta": math.pi / 2, "p_theta": 6}}])
 def test_experiment_invalid_value_is_config_error(tmp_path, capsys, change):
     # refused before any sampling or prediction
     cfg = write_config(tmp_path, **change)

@@ -267,6 +267,20 @@ def test_nearest_in_sector_exact_tie_break():
     assert got[0] == 1.0 - 0.5j    # first border sits at angle -pi/4
 
 
+@pytest.mark.parametrize("target, want", [(0.7 + 0.5j, 0), (0.55 + 0.5j, -1)])
+def test_nearest_in_sector_scores_target_with_first_batch(monkeypatch, target, want):
+    # the target is scored in the same _candidate_key call as the first
+    # batch of points, whether it wins or not
+    calls = []
+    score = points._candidate_key
+    monkeypatch.setattr(points, "_candidate_key", lambda *a: calls.append(a) or score(*a))
+    ps = sample_ppp(UNIT, 1000, seed=13)
+    ps = make_set([(0.6, 0.5)] + [p for p in ps.points.tolist() if abs(p[0] - 0.5) > 0.2])
+    got = nearest_in_sector(ps, 0.5 + 0.5j, 0.0, math.pi / 4, "disk", extra=target)
+    assert got[2] == want and len(calls) == 1
+    assert_matches_brute(ps, 0.5 + 0.5j, 0.0, math.pi / 4, "disk", target)
+
+
 # -- the half-plane: directed-t at theta = pi ------------------------------------
 
 def halfplane_hop(points, apex):
@@ -545,7 +559,7 @@ def test_navmax_matches_brute_force(theta):
 def test_navmax_small_blocks_and_passes_match_brute_force(monkeypatch):
     # which apexes share a block or a ring pass changes no radius
     monkeypatch.setattr(points, "_NAVMAX_BLOCK", 7)
-    monkeypatch.setattr(points, "_NAVMAX_CELLS", 50)
+    monkeypatch.setattr(points, "_PASS_CELLS", 50)
     ps = sample_ppp(BUMP, 150, seed=32)
     assert navmax(ps, math.pi / 2, 0.07) == brute_navmax(ps, math.pi / 2, 0.07)
 
@@ -586,15 +600,65 @@ def test_maxball_trivial():
     assert maxball(make_set(pts), 0.5, 0.2) == 40
 
 
-def test_maxball_matches_direct_count():
-    ps = sample_ppp(UNIT, 500, seed=21)
-    r, step = 0.11, 0.05
-    inset = UNIT.domain.inset(UNIT.inset_a)
+def direct_maxball(ps, r, step):
+    inset = ps.density.domain.inset(ps.density.inset_a)
     want = 0
     for cx in np.arange(inset.x0, inset.x1 + 1e-9, step):
         for cy in np.arange(inset.y0, inset.y1 + 1e-9, step):
             want = max(want, int(((ps.xs - cx) ** 2 + (ps.ys - cy) ** 2 < r * r).sum()))
-    assert maxball(ps, r, step) == want
+    return want
+
+
+def border_set():
+    """Cells of 0.1 with points on every cell border and one ulp to each
+    side of it, in both coordinates."""
+    at = [v for k in range(11)
+          for v in (np.nextafter(0.1 * k, -1.0), 0.1 * k, np.nextafter(0.1 * k, 2.0))
+          if 0.0 <= v <= 1.0]
+    ps = PointSet(np.array([(x, y) for x in at for y in at]), UNIT, 0, ("iid", 100))
+    assert ps.index.cell == 0.1
+    return ps
+
+
+def offset_border_set():
+    """Cells of 0.01 on a domain from x = 0.3: the lattice column at
+    0.9999999999999999 falls in cell 70 and a point at 0.98 in cell 67, two
+    cells' gap, yet their distance rounds below 0.02.  One such point a
+    lattice row."""
+    shifted = DensitySpec.constant(1.0, domain=Rect(0.3, 0.7, 1.3, 1.7), inset_a=0.05)
+    rows = np.arange(0.75, 1.65 + 1e-9, 0.05)
+    ps = PointSet(np.array([(0.98, y) for y in rows]), shifted, 0, ("iid", 1e4))
+    assert ps.index.cell == 0.01
+    return ps
+
+
+# the corner set: 200 points in [0, 0.15]^2, indexed for 1e6 points
+CORNER = PointSet(0.15 * np.random.default_rng(34).random((200, 2)), UNIT, 0, ("iid", 1e6))
+
+
+@pytest.mark.parametrize("ps, r, step, cap", [
+    (sample_ppp(UNIT, 500, seed=21), 0.11, 0.05, None),
+    # r a whole number of cells, centres on cell borders and between them
+    (border_set(), 0.1, 0.05, None),
+    (border_set(), 0.2, 0.05, None),
+    (border_set(), 0.3, 0.1, None),
+    (offset_border_set(), 0.02, 0.05, None),
+    # about 500 points a cell
+    (PointSet(np.random.default_rng(22).random((2000, 2)), UNIT, 0, ("iid", 4)),
+     0.07, 0.05, None),
+    (CORNER, 0.01, 0.1, None),
+    (CORNER, 0.05, 0.05, None),
+    # r below one cell (cells of about 0.045)
+    (sample_ppp(UNIT, 500, seed=23), 0.02, 0.03, None),
+    # passes smaller than one centre's cells (81 and about 400)
+    (sample_ppp(UNIT, 500, seed=21), 0.11, 0.05, 7),
+    (CORNER, 0.01, 0.1, 50)],
+    ids=["ppp", "border-1-cell", "border-2-cells", "border-3-cells", "offset-border", "crowded",
+         "corner-0.01", "corner-0.05", "below-a-cell", "tiny-passes", "tiny-passes-corner"])
+def test_maxball_matches_direct_count(monkeypatch, ps, r, step, cap):
+    if cap is not None:
+        monkeypatch.setattr(points, "_PASS_CELLS", cap)
+    assert maxball(ps, r, step) == direct_maxball(ps, r, step)
 
 
 def test_maxball_bound_form_many_seeds():
