@@ -650,7 +650,7 @@ CORNER = PointSet(0.15 * np.random.default_rng(34).random((200, 2)), UNIT, 0, ("
     (CORNER, 0.05, 0.05, None),
     # r below one cell (cells of about 0.045)
     (sample_ppp(UNIT, 500, seed=23), 0.02, 0.03, None),
-    # passes smaller than one centre's cells (81 and about 400)
+    # passes smaller than one centre's cells (45 and 405)
     (sample_ppp(UNIT, 500, seed=21), 0.11, 0.05, 7),
     (CORNER, 0.01, 0.1, 50)],
     ids=["ppp", "border-1-cell", "border-2-cells", "border-3-cells", "offset-border", "crowded",
