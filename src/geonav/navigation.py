@@ -233,10 +233,15 @@ def next_stop(spec: NavSpec, s, t, ps: PointSet, norths=None) -> complex:
 
 
 def _id_of(ps: PointSet, p: complex) -> int:
-    """Id of p if it is exactly a stored point, else -1 (vectorized lookup)."""
-    if len(ps) == 0:
-        return -1
-    hits = np.flatnonzero((ps.xs == p.real) & (ps.ys == p.imag))
+    """Smallest id of a stored point equal to p, else -1.
+
+    A stored point is filed in the cell that ``GridIndex.cell_of`` gives
+    for it, and the ids of a cell are ascending, so one cell is read."""
+    idx = ps.index
+    i, j = idx.cell_of(p.real, p.imag)
+    c = i * idx.ny + j
+    ids = idx.order[idx.starts[c]:idx.starts[c + 1]]
+    hits = ids[(ps.xs[ids] == p.real) & (ps.ys[ids] == p.imag)]
     return int(hits[0]) if len(hits) else -1
 
 

@@ -1,11 +1,13 @@
 """Random stopping-place sets with a uniform-grid index for sector queries.
 
 Sampling is deterministic given a seed.  The grid index stores point ids in
-CSR layout (ids sorted by cell, plus per-cell offsets).  Sector queries read
-square rings of cells around the apex in batches through the same gather,
-drop cells that cannot meet the query cone or whose lower key bound exceeds
-the best key so far, and stop as soon as no unvisited ring can beat it.  A
-query's target is scored with its first batch, as id -1.
+CSR layout (ids sorted by cell, plus per-cell offsets).  A sector query
+first reads the 7 x 7 block of cells around the apex cell as one run of ids
+per grid column, with no cone test, and scores its target with it, as id
+-1.  It then reads square rings of cells in annuli through the gather, from
+the first ring that meets the box of cells that hold a point, drops cells
+that cannot meet the query cone or whose lower key bound exceeds the best
+key so far, and stops as soon as no unvisited ring can beat it.
 
 The diagnostics run on one vectorised cell-list gather
 (``GridIndex.gather``).  ``navmax`` and ``maxball`` share one lattice of the
@@ -97,10 +99,14 @@ class GridIndex:
         return ((min(i0 + m - 1, self.nx - 1) - max(i0 - m + 1, 0) + 1)
                 * (min(j0 + m - 1, self.ny - 1) - max(j0 - m + 1, 0) + 1))
 
-    def max_ring(self, i0: int, j0: int) -> int:
-        """The last ring around ``(i0, j0)`` that meets ``box`` (0 if empty)."""
+    def ring_span(self, i0: int, j0: int) -> tuple[int, int]:
+        """The first and the last ring around ``(i0, j0)`` that meet ``box``
+        (``(1, 0)`` if it is empty)."""
         ilo, ihi, jlo, jhi = self.box
-        return max(i0 - ilo, ihi - i0, j0 - jlo, jhi - j0) if ilo <= ihi else 0
+        if ilo > ihi:
+            return 1, 0
+        return (max(ilo - i0, i0 - ihi, jlo - j0, j0 - jhi, 0),
+                max(i0 - ilo, ihi - i0, j0 - jlo, jhi - j0))
 
 
 def _ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
@@ -247,14 +253,12 @@ def _lexmin(key, border, ids):
     return float(key[j]), float(border[j]), int(ids[j])
 
 
-# rings 0-3 around the apex cell come from one table of offsets; later
-# rings are read in annuli.  A sector scan's batch and a pass of
-# _gather_around read at most _PASS_CELLS cells, which bounds the temporary
-# arrays of a scan that never exits early (the half-plane) and of the
-# diagnostics on a sparse set
+# rings 0-3 around the apex cell are the first batch, read as one run of
+# cells per grid column; later rings are read in annuli.  A sector scan's
+# annulus batch and a pass of _gather_around read at most _PASS_CELLS cells,
+# which bounds the temporary arrays of a scan that never exits early (the
+# half-plane) and of the diagnostics on a sparse set
 _FIRST_RINGS = 4
-_FIRST_DI, _FIRST_DJ = (o.ravel() for o in np.meshgrid(np.arange(-3, 4), np.arange(-3, 4),
-                                                      indexing="ij"))
 _PASS_CELLS = 1 << 14
 # navmax walks its lattice in blocks of _NAVMAX_BLOCK apexes (blocks of 128
 # to 512 measured faster than whole lattices of 1000 apexes and more)
@@ -266,21 +270,25 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
     """Best (key, border, id) over indexed points and ``extra`` (id -1, in
     the first batch) in the infinite sector.
 
-    Square rings of cells around the apex cell are read in batches; the
-    answer is the smallest candidate of all batches read.  The bounds allow
-    for the inside test's slack (a projection on the axis of at least
-    ``r * (cos(half) - EPS)``, with ``r`` at most ``far``, the apex's
-    distance to the grid's farthest corner), so the scan returns what a pass
-    over every point would:
+    The first batch is the block of rings 0-3 around the apex cell, clipped
+    to the grid: the cells of one grid column in it are one run of
+    ``GridIndex.order``.  It has no cone test, since extra candidates that
+    fail the inside test of ``_candidate_key`` cannot change the answer.
+    Later rings are read in annuli, from the first ring that meets the box
+    of cells that hold a point; the answer is the smallest candidate of all
+    batches read.  The bounds allow for the inside test's slack (a
+    projection on the axis of at least ``r * (cos(half) - EPS)``, with ``r``
+    at most ``far``, the apex's distance to the grid's farthest corner), so
+    the scan returns what a pass over every point would:
 
     - a point of ring ``k`` or beyond has a key of at least
       ``(k-1)*cell*key_factor - EPS*far``; the scan stops before ring ``k``
       once that exceeds the best key by more than rounding;
     - an inside point lies at most ``far * (acos(cos(half) - EPS) - half)``
-      (about ``EPS * far / sin(half)``) outside a border line; a cell
-      farther than that (plus rounding) outside the cone is dropped by its
-      corners;
-    - once a best key exists, so is every cell whose lower key bound
+      (about ``EPS * far / sin(half)``) outside a border line; an annulus
+      cell farther than that (plus rounding) outside the cone is dropped by
+      its corners;
+    - once a best key exists, so is every annulus cell whose lower key bound
       (smallest corner projection on the axis, or distance to the apex)
       exceeds it by more than rounding.
     """
@@ -288,6 +296,21 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
     rect = idx.rect
     ax, ay = apex.real, apex.imag
     i0, j0 = idx.cell_of(ax, ay)
+    # the first batch, clipped to the grid: rows jlo to jhi - 1 of each of
+    # its columns, whose flat cells start at ``cols``, are one run of ``order``
+    r, ny, starts = _FIRST_RINGS - 1, idx.ny, idx.starts
+    jlo, jhi = max(j0 - r, 0), min(j0 + r, ny - 1) + 1
+    cols = range(max(i0 - r, 0) * ny, min(i0 + r, idx.nx - 1) * ny + 1, ny)
+    ids = np.concatenate([idx.order[starts[c + jlo]:starts[c + jhi]] for c in cols])
+    xs, ys = ps.xs[ids], ps.ys[ids]
+    if extra is not None:
+        ids = np.concatenate((ids, (-1,)))
+        xs = np.concatenate((xs, (extra.real,)))
+        ys = np.concatenate((ys, (extra.imag,)))
+    inside, key, border = _candidate_key(xs - ax, ys - ay, nu, half, triangle)
+    best = _lexmin(key[inside], border[inside], ids[inside]) if inside.any() else None
+    first, kmax = idx.ring_span(i0, j0)
+    a = max(_FIRST_RINGS, first)    # rings between hold no point
     cell = idx.cell
     key_factor = max(math.cos(half) - EPS, 0.0) if triangle else 1.0
     convex = half <= 0.5 * math.pi
@@ -301,30 +324,17 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
                      max(ay - rect.y0, rect.y0 + idx.ny * cell - ay))
     low = slack + EPS * far
     cone = slack + far * (math.acos(math.cos(half) - EPS) - half) if convex else None
-    best = None  # (key, border, id)
-    kmax = idx.max_ring(i0, j0)
-    a = 0
     while a <= kmax:
-        if best is not None and max(0, a - 1) * cell * key_factor - low > best[0]:
+        if best is not None and (a - 1) * cell * key_factor - low > best[0]:
             break                   # the stop rule
-        if a == 0:
-            b = _FIRST_RINGS
-            ci = i0 + _FIRST_DI
-            cj = j0 + _FIRST_DJ
-            r = _FIRST_RINGS - 1
-            if not (r <= i0 < idx.nx - r and r <= j0 < idx.ny - r):
-                # the table reaches past the grid's edge: clip it
-                on = (ci >= 0) & (ci < idx.nx) & (cj >= 0) & (cj < idx.ny)
-                ci, cj = ci[on], cj[on]
-        else:
-            b = min(2 * a, kmax + 1)
-            if best is not None and key_factor > 0.0:
-                # the stop rule ends the scan by this ring
-                b = max(a + 1, min(b, int((best[0] + low) / (cell * key_factor)) + 2))
-            base = idx.count_within(i0, j0, a)
-            while b > a + 1 and idx.count_within(i0, j0, b) - base > _PASS_CELLS:
-                b = (a + b) // 2
-            ci, cj = idx.annulus(i0, j0, a, b)
+        b = min(2 * a, kmax + 1)
+        if best is not None and key_factor > 0.0:
+            # the stop rule ends the scan by this ring
+            b = max(a + 1, min(b, int((best[0] + low) / (cell * key_factor)) + 2))
+        base = idx.count_within(i0, j0, a)
+        while b > a + 1 and idx.count_within(i0, j0, b) - base > _PASS_CELLS:
+            b = (a + b) // 2
+        ci, cj = idx.annulus(i0, j0, a, b)
         x_lo = rect.x0 + ci * cell - ax
         x_hi = x_lo + cell
         y_lo = rect.y0 + cj * cell - ay
@@ -350,10 +360,8 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
             keep = near if keep is None else keep & near
         cells = ci * idx.ny + cj
         ids = idx.gather(cells if keep is None else cells[keep])
-        xs, ys = ps.xs[ids], ps.ys[ids]
-        if a == 0 and extra is not None:
-            ids, xs, ys = np.append(ids, -1), np.append(xs, extra.real), np.append(ys, extra.imag)
-        inside, key, border = _candidate_key(xs - ax, ys - ay, nu, half, triangle)
+        inside, key, border = _candidate_key(ps.xs[ids] - ax, ps.ys[ids] - ay, nu, half,
+                                             triangle)
         if inside.any():
             cand = _lexmin(key[inside], border[inside], ids[inside])
             if best is None or cand < best:
@@ -371,7 +379,9 @@ def nearest_in_sector(ps: PointSet, apex, direction: float, half_angle: float,
     projection on the bisector for ``shape="triangle"``; ties break on the
     distance to the first border, then on point id (``extra`` wins last
     resort ties).  Returns ``(point, key, id)`` with ``id = -1`` for the
-    extra point, or ``None`` when the sector is empty.
+    extra point, or ``None`` when the sector is empty.  Most queries are
+    answered by the first batch, the 7 x 7 block of cells around the apex
+    cell read with no cone test (see ``_sector_scan``).
 
     A point at distance ``r > 0`` from the apex is inside when its
     projection on the bisector is at least ``r * (cos(half_angle) - EPS)``.
@@ -554,11 +564,15 @@ def maxball(ps: PointSet, r: float, grid_step: float) -> int:
     m = min(math.ceil(r / idx.cell) + 1, max(idx.nx, idx.ny))
     gap = np.maximum(np.abs(np.arange(-m, m + 1)) - 1, 0) * idx.cell
     di, dj = np.nonzero(np.hypot(gap[:, None], gap) < r * (1.0 + 1e-12) + idx.slack)
+    # a centre whose cell is more than m cells from the box gathers nothing
+    ilo, ihi, jlo, jhi = idx.box
+    near = (ci >= ilo - m) & (ci <= ihi + m) & (cj >= jlo - m) & (cj <= jhi + m)
+    cx, cy, ci, cj = cx[near], cy[near], ci[near], cj[near]
     counts = np.zeros(len(cx), dtype=np.int64)
     for ids, c in _gather_around(idx, ci, cj, di - m, dj - m):
         d2 = (ps.xs[ids] - cx[c]) ** 2 + (ps.ys[ids] - cy[c]) ** 2
         counts += np.bincount(c[d2 < r * r], minlength=len(cx))
-    return int(counts.max())
+    return int(counts.max(initial=0))
 
 
 def r_min(ps: PointSet) -> float:

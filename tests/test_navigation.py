@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from geonav import (DensitySpec, NavKind, NavSpec, PointSet, Rect, costs,
-                    next_stop, run, run_directed, sample_ppp, stage_samples)
-from geonav.navigation import PathRecord, norths_for
+from geonav import (DensitySpec, NavKind, NavSpec, PointSet, Rect, costs, load_points,
+                    nearest_in_sector, next_stop, run, run_directed, sample_ppp, save_points,
+                    stage_samples)
+from geonav.geometry import sector_of_angle
+from geonav.navigation import PathRecord, _id_of, norths_for
 
 DEG = math.pi / 180.0
 UNIT = DensitySpec.constant(1.0)
@@ -270,6 +272,47 @@ def test_random_north_run_reaches_target():
     rec = run(spec, 0.2 + 0.5j, 0.8 + 0.5j, ps)
     assert rec.success
     assert rec.monotone_approach()
+
+
+def test_random_north_run_from_a_stored_point():
+    # a run from a stored point aims its first hop with that point's own
+    # axis offset, not with the offset kept for other starts
+    spec = NavSpec(kind=NavKind.RANDOM_NORTH_THETA, p_theta=6, north_seed=4)
+    ps = sample_ppp(UNIT, 2e3, seed=62)
+    norths = norths_for(ps, 4)
+    t = 0.9 + 0.9j
+    pid = next(i for i in range(len(ps))
+               if 0.2 < ps.xs[i] < 0.5 and 0.2 < ps.ys[i] < 0.5
+               and _first_hop(spec, ps, i, t, norths[i]) != _first_hop(spec, ps, i, t, norths[-1]))
+    rec = run(spec, complex(*ps.points[pid]), t, ps)
+    assert rec.stop_ids[0] == pid
+    assert complex(*rec.stops[1]) == _first_hop(spec, ps, pid, t, norths[pid])
+
+
+def _first_hop(spec, ps, pid, t, offset):
+    s = complex(*ps.points[pid])
+    nu = offset + sector_of_angle(cmath.phase(t - s) - offset, spec.theta, 6) * spec.theta
+    return nearest_in_sector(ps, s, nu, spec.theta / 2.0, spec.shape, extra=t)[0]
+
+
+def test_id_of_reads_one_cell(tmp_path):
+    rng = np.random.default_rng(63)
+    # stored points on the far borders x == x1 and y == y1 are filed in the
+    # last column or row, whose cells end short of them or at them
+    pts = np.vstack([rng.random((60, 2)), [(1.0, 0.5), (0.3, 1.0), (1.0, 1.0), (0.0, 0.0)]])
+    ps = make_set(pts)
+    assert ps.index.nx == 8 and ps.index.cell_of(1.0, 1.0) == (7, 7)
+    assert [_id_of(ps, complex(x, y)) for x, y in pts.tolist()] == list(range(len(pts)))
+    for p in (0.5 + 0.5j, 1.0 + 0.7j, complex(pts[3, 0], np.nextafter(pts[3, 1], 2.0))):
+        assert _id_of(ps, p) == -1
+    assert _id_of(EMPTY, 0.5 + 0.5j) == -1
+    # a loaded set keeps duplicate rows: the smallest id of equal rows wins
+    path = tmp_path / "dup.csv"
+    save_points(make_set([(0.6, 0.6), (0.61, 0.6), (0.1, 0.1), (0.6, 0.6), (0.1, 0.1),
+                          (0.6, 0.6)]), path)
+    dup = load_points(path)
+    assert len(dup) == 6
+    assert [_id_of(dup, p) for p in (0.6 + 0.6j, 0.61 + 0.6j, 0.1 + 0.1j)] == [0, 1, 2]
 
 
 def test_path_record_svg(tmp_path):

@@ -281,6 +281,114 @@ def test_nearest_in_sector_scores_target_with_first_batch(monkeypatch, target, w
     assert_matches_brute(ps, 0.5 + 0.5j, 0.0, math.pi / 4, "disk", target)
 
 
+def edge_apexes(ps, rng):
+    """A random apex in every cell whose 7 x 7 block the grid clips (the
+    three cells next to each edge, corners included), plus apexes on the
+    far borders ``x1`` and ``y1`` of the domain, filed in the last cells."""
+    idx, rect = ps.index, ps.density.domain
+
+    def near_edges(n):
+        return sorted({k for k in (0, 1, 2, n - 3, n - 2, n - 1, n // 2) if 0 <= k < n})
+
+    out = [complex(rect.x1, rect.y1), complex(rect.x1, rect.y0 + 0.5 * rect.height),
+           complex(rect.x0 + 0.5 * rect.width, rect.y1)]
+    for i in near_edges(idx.nx):
+        for j in near_edges(idx.ny):
+            u, v = rng.random(2)
+            out.append(complex(min(rect.x0 + (i + u) * idx.cell, rect.x1),
+                               min(rect.y0 + (j + v) * idx.cell, rect.y1)))
+    return out
+
+
+def first_batch(monkeypatch, ps, apex, extra):
+    """The candidates ``(dx, dy)`` of a query's first ``_candidate_key`` call,
+    sorted, and those of the points in the 7 x 7 block of cells around the
+    apex cell, clipped to the grid, plus ``extra``."""
+    calls = []
+    score = points._candidate_key
+    monkeypatch.setattr(points, "_candidate_key", lambda *a: calls.append(a) or score(*a))
+    nearest_in_sector(ps, apex, 0.3, 1.0, "disk", extra=extra)
+    monkeypatch.setattr(points, "_candidate_key", score)
+    i0, j0 = ps.index.cell_of(apex.real, apex.imag)
+    ci, cj = ps.index.cells_of(ps.xs, ps.ys)
+    block = (np.abs(ci - i0) <= 3) & (np.abs(cj - j0) <= 3)
+    xs, ys = ps.xs[block], ps.ys[block]
+    if extra is not None:
+        xs, ys = np.append(xs, extra.real), np.append(ys, extra.imag)
+    return (sorted(zip(calls[0][0].tolist(), calls[0][1].tolist())),
+            sorted(zip((xs - apex.real).tolist(), (ys - apex.imag).tolist())))
+
+
+# four grids: 20 x 20 cells of 0.05; a 3 x 1 and a 1 x 3 domain of 1-cells,
+# narrower than the block on one axis; and the 3 x 1 domain in 0.25-cells
+NARROW = DensitySpec.constant(1.0, domain=Rect(0, 0, 3, 1), inset_a=0.1)
+TALL = DensitySpec.constant(1.0, domain=Rect(0, 0, 1, 3), inset_a=0.1)
+
+
+def edge_sets():
+    rng = np.random.default_rng(16)
+    wide = rng.random((7, 2)) * (3.0, 1.0)
+    return [sample_ppp(UNIT, 400, seed=17),
+            PointSet(wide, NARROW, 0, ("iid", 1)),
+            PointSet(rng.random((7, 2)) * (1.0, 3.0), TALL, 0, ("iid", 1)),
+            PointSet(wide, NARROW, 0, ("iid", 48))]
+
+
+@pytest.mark.parametrize("which", range(4), ids=["20x20", "3x1", "1x3", "12x4"])
+def test_nearest_in_sector_first_batch_is_the_clipped_block(monkeypatch, which):
+    ps = edge_sets()[which]
+    shape = (ps.index.nx, ps.index.ny)
+    assert shape == [(20, 20), (3, 1), (1, 3), (12, 4)][which]
+    rng = np.random.default_rng(18)
+    for apex in edge_apexes(ps, rng):
+        for extra in (None, complex(*rng.random(2))):
+            got, want = first_batch(monkeypatch, ps, apex, extra)
+            assert got == want
+
+
+@pytest.mark.parametrize("which", range(4), ids=["20x20", "3x1", "1x3", "12x4"])
+def test_nearest_in_sector_at_grid_edges_matches_brute_force(which):
+    """Apexes in every cell next to a grid edge or corner, on the usual grid
+    and on grids narrower than the first batch's block, with no target, a
+    target in the block and a target across the domain."""
+    ps = edge_sets()[which]
+    rect = ps.density.domain
+    rng = np.random.default_rng(19)
+    for apex in edge_apexes(ps, rng):
+        near = apex + complex(*rng.uniform(-1.5, 1.5, 2)) * ps.index.cell
+        far = complex(rect.x0 + rect.x1 - apex.real, rect.y0 + rect.y1 - apex.imag)
+        for nu in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, rng.uniform(0, 2 * math.pi)):
+            for shape, half in (("triangle", math.pi / 6), ("triangle", math.pi / 2),
+                                ("disk", math.pi / 4), ("disk", 2.5)):
+                for extra in (None, near, far):
+                    assert_matches_brute(ps, apex, nu, half, shape, extra)
+
+
+def test_nearest_in_sector_annuli_start_at_the_box(monkeypatch):
+    """On the sparse corner set, a query far from every point reads its
+    first annulus from the first ring that meets the box of cells that hold
+    a point, and still matches the brute force."""
+    firsts = []
+    annulus = points.GridIndex.annulus
+    monkeypatch.setattr(points.GridIndex, "annulus",
+                        lambda self, i0, j0, a, b: firsts.append(a) or annulus(self, i0, j0, a, b))
+    idx = CORNER.index
+    ilo, ihi, jlo, jhi = idx.box
+    cases = [(0.9 + 0.9j, 0.0, math.pi / 6, "triangle", 0.1 + 0.9j),
+             (0.9 + 0.9j, 1.25 * math.pi, math.pi / 6, "triangle", None),
+             (0.5 + 0.05j, math.pi, math.pi / 4, "disk", 0.95 + 0.95j),
+             (0.05 + 0.7j, 1.5 * math.pi, math.pi / 2, "triangle", None),
+             (0.3 + 0.3j, 0.0, 2.5, "disk", None)]
+    for apex, nu, half, shape, extra in cases:
+        firsts.clear()
+        assert_matches_brute(CORNER, apex, nu, half, shape, extra)
+        i0, j0 = idx.cell_of(apex.real, apex.imag)
+        gap = max(ilo - i0, i0 - ihi, jlo - j0, j0 - jhi)
+        assert gap > 100 and firsts[0] == gap
+    i0, j0 = idx.cell_of(0.9, 0.9)
+    assert idx.ring_span(i0, j0) == (min(i0 - ihi, j0 - jhi), max(i0 - ilo, j0 - jlo))
+
+
 # -- the half-plane: directed-t at theta = pi ------------------------------------
 
 def halfplane_hop(points, apex):
@@ -659,6 +767,32 @@ def test_maxball_matches_direct_count(monkeypatch, ps, r, step, cap):
     if cap is not None:
         monkeypatch.setattr(points, "_PASS_CELLS", cap)
     assert maxball(ps, r, step) == direct_maxball(ps, r, step)
+
+
+def test_maxball_skips_centres_far_from_every_point(monkeypatch):
+    """Only the centres whose cell lies within the window's half-width
+    ``m = ceil(r / cell) + 1`` of the box of cells that hold a point are
+    gathered; a set that no centre reaches counts 0.  In the opposite
+    corner, at r 0.049, lattice centres lie exactly m cells below the box."""
+    seen = []
+    gather = points._gather_around
+    monkeypatch.setattr(points, "_gather_around",
+                        lambda idx, i0, j0, di, dj: seen.append(i0) or gather(idx, i0, j0, di, dj))
+    opposite = PointSet(1.0 - CORNER.points, UNIT, 0, ("iid", 1e6))
+    for ps, r in ((CORNER, 0.05), (opposite, 0.049)):
+        seen.clear()
+        assert maxball(ps, r, 0.05) == direct_maxball(ps, r, 0.05)
+        (i0,) = seen
+        m = math.ceil(r / ps.index.cell) + 1
+        _, _, ci, cj = points._lattice(ps, 0.05)
+        ilo, ihi, jlo, jhi = ps.index.box
+        reach = np.maximum.reduce([ilo - ci, ci - ihi, jlo - cj, cj - jhi])
+        assert m in reach
+        assert 0 < len(i0) == (reach <= m).sum() < len(ci)
+    seen.clear()
+    tiny = PointSet(0.02 * np.random.default_rng(35).random((20, 2)), UNIT, 0, ("iid", 1e6))
+    assert maxball(tiny, 0.002, 0.1) == direct_maxball(tiny, 0.002, 0.1) == 0
+    assert len(seen[0]) == 0
 
 
 def test_maxball_bound_form_many_seeds():
