@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -158,8 +159,8 @@ def generate_pairs(config: ExperimentConfig) -> list:
     return out
 
 
-# wall_time stays on the in-memory row only: the CSV must be byte-identical
-# for identical config and master seed
+# exit_reason and wall_time stay on the in-memory row only: the CSV must be
+# byte-identical for identical config and master seed, and keeps its columns
 CSV_COLUMNS = ["n", "seed", "s_x", "s_y", "t_x", "t_y", "kind", "theta",
                "success", "monotone", "nb", "length", "pred_nb", "pred_length",
                "hausdorff", "sup_pos_err", "navmax"]
@@ -174,6 +175,7 @@ class ResultRow:
     kind: str
     theta: float
     success: bool
+    exit_reason: str
     monotone: bool
     nb: int
     length: float
@@ -253,7 +255,7 @@ def _run_cell(config: ExperimentConfig, n_idx: int, seed_idx: int,
         sup_err = float(np.hypot(*(rec.stops - curve.position_at(ts)).T).max())
         rows.append(ResultRow(
             n=n, seed=seed_idx, s=s, t=t, kind=config.nav.kind.value,
-            theta=config.nav.theta, success=rec.success,
+            theta=config.nav.theta, success=rec.success, exit_reason=rec.exit_reason,
             monotone=rec.monotone_approach() if rec.nb > 0 else True,
             nb=rec.nb, length=rec.length,
             pred_nb=p_nb * sqrt_n, pred_length=p_len,
@@ -326,7 +328,8 @@ def _slope(ns, errs):
 
 
 def summarize(rows) -> dict:
-    """Per-n aggregates plus fitted log-log convergence slopes."""
+    """Per-n aggregates, with a count of runs per exit reason, plus fitted
+    log-log convergence slopes."""
     if not rows:
         raise EmptyInput("no rows to summarize")
     by_n: dict = {}
@@ -344,6 +347,7 @@ def summarize(rows) -> dict:
             "n": n,
             "runs": len(group),
             "successes": sum(r.success for r in group),
+            "exit_reasons": dict(sorted(Counter(r.exit_reason for r in group).items())),
             "monotone_ok": monotone_ok,
             "mean_rel_len_err": float(np.mean(rel_len)) if rel_len else 0.0,
             "max_rel_len_err": float(np.max(rel_len)) if rel_len else 0.0,

@@ -3,11 +3,16 @@
 Sampling is deterministic given a seed.  The grid index stores point ids in
 CSR layout (ids sorted by cell, plus per-cell offsets).  A sector query
 first reads the 7 x 7 block of cells around the apex cell as one run of ids
-per grid column, with no cone test, and scores its target with it, as id
--1.  It then reads square rings of cells in annuli through the gather, from
-the first ring that meets the box of cells that hold a point, drops cells
-that cannot meet the query cone or whose lower key bound exceeds the best
-key so far, and stops as soon as no unvisited ring can beat it.
+per grid column, with no cone test, with its target in the last slot, as id
+-1.  One scorer call per batch (``_candidate_key``) returns the batch's
+smallest ``(key, border, id)``: the smallest key among the inside
+candidates, with the border distance computed only to break exact key
+ties.  Most queries stop there, before any annulus is set up.  Otherwise
+the query reads square rings of cells in annuli through the gather, from
+the first ring that meets the box of cells that hold a point (none when a
+convex cone misses the whole box), drops cells that cannot meet the query
+cone or whose lower key bound exceeds the best key so far, and stops as
+soon as no unvisited ring can beat it.
 
 The diagnostics run on one vectorised cell-list gather
 (``GridIndex.gather``).  ``navmax`` and ``maxball`` share one lattice of the
@@ -137,6 +142,9 @@ class PointSet:
                                    self.density.domain, self._default_cell())
         self.xs = self.points[:, 0]
         self.ys = self.points[:, 1]
+        # the points as complex numbers, a view of ``points`` when it is
+        # C-contiguous: a sector scan gathers and shifts both coordinates at once
+        self.zs = np.ascontiguousarray(self.points).view(np.complex128).reshape(-1)
 
     def _default_cell(self) -> float:
         # about one expected point per cell at the densest spot
@@ -230,27 +238,44 @@ def sample_iid(density: DensitySpec, n: int, seed: int) -> PointSet:
 # sector queries
 # ---------------------------------------------------------------------------
 
-def _candidate_key(dx, dy, nu: float, half: float, triangle: bool):
-    """Vectorized (in-sector mask, key, first-border distance)."""
+def _candidate_key(dx, dy, nu: float, half: float, triangle: bool, ids):
+    """Smallest ``(key, border, id)`` of the candidates ``ids`` at offsets
+    ``(dx, dy)`` from the apex that lie inside the sector, or ``None``.
+
+    A candidate at distance ``r > 0`` is inside when its projection ``x`` on
+    the bisector is at least ``r * (cos(half) - EPS)``; its key is ``x``
+    (triangle) or ``r`` (disk).  The border, the distance to the first
+    border half-line, only breaks exact key ties, so it is computed for the
+    candidates with the smallest key alone.
+    """
     c = math.cos(nu)
     s = math.sin(nu)
     x = dx * c + dy * s
-    y = -dx * s + dy * c
+    y = dy * c - dx * s
     r = np.hypot(x, y)
     ch = math.cos(half)
     sh = math.sin(half)
     inside = (r > 0.0) & (x >= r * (ch - EPS))
-    key = x if triangle else r
-    # distance to the first border half-line (direction -half in this frame)
-    along = x * ch - y * sh
-    border = np.where(along >= 0.0, np.abs(x * sh + y * ch), r)
-    return inside, key, border
-
-
-def _lexmin(key, border, ids):
-    """Smallest ``(key, border, id)``."""
-    j = np.lexsort((ids, border, key))[0]
-    return float(key[j]), float(border[j]), int(ids[j])
+    k = np.where(inside, x if triangle else r, np.inf)
+    if not len(k):
+        return None
+    j = int(k.argmin())
+    if not inside[j]:
+        return None
+    kj = k[j]
+    k[j] = np.inf                   # a tie shows as a second smallest key
+    if k[k.argmin()] != kj:
+        xj, yj = float(x[j]), float(y[j])
+        # first border half-line: direction -half in this frame
+        border = abs(xj * sh + yj * ch) if xj * ch - yj * sh >= 0.0 else float(r[j])
+        return float(kj), border, int(ids[j])
+    k[j] = kj
+    tied = np.flatnonzero(k == kj)
+    xt, yt = x[tied], y[tied]
+    border = np.where(xt * ch - yt * sh >= 0.0, np.abs(xt * sh + yt * ch), r[tied])
+    m = np.lexsort((ids[tied], border))[0]
+    w = tied[m]
+    return float(k[w]), float(border[m]), int(ids[w])
 
 
 # rings 0-3 around the apex cell are the first batch, read as one run of
@@ -270,16 +295,20 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
     """Best (key, border, id) over indexed points and ``extra`` (id -1, in
     the first batch) in the infinite sector.
 
-    The first batch is the block of rings 0-3 around the apex cell, clipped
-    to the grid: the cells of one grid column in it are one run of
-    ``GridIndex.order``.  It has no cone test, since extra candidates that
-    fail the inside test of ``_candidate_key`` cannot change the answer.
-    Later rings are read in annuli, from the first ring that meets the box
-    of cells that hold a point; the answer is the smallest candidate of all
-    batches read.  The bounds allow for the inside test's slack (a
-    projection on the axis of at least ``r * (cos(half) - EPS)``, with ``r``
-    at most ``far``, the apex's distance to the grid's farthest corner), so
-    the scan returns what a pass over every point would:
+    Each batch of candidates is scored by one ``_candidate_key`` call, which
+    returns the batch's smallest ``(key, border, id)``; the answer is the
+    smallest over all batches read.  The first batch is the block of rings
+    0-3 around the apex cell, clipped to the grid: the cells of one grid
+    column in it are one run of ``GridIndex.order``, and the target takes
+    the last slot.  It has no cone test, since extra candidates that fail
+    the inside test cannot change the answer.  Later rings are read in
+    annuli, from the first ring that meets the box of cells that hold a
+    point; the stop rule is tested before the annuli's scalars are set up,
+    so a query answered by the first batch computes none of them.  The
+    bounds allow for the inside test's slack (a projection on the axis of
+    at least ``r * (cos(half) - EPS)``, with ``r`` at most ``far``, the
+    apex's distance to the grid's farthest corner), so the scan returns what
+    a pass over every point would:
 
     - a point of ring ``k`` or beyond has a key of at least
       ``(k-1)*cell*key_factor - EPS*far``; the scan stops before ring ``k``
@@ -287,7 +316,7 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
     - an inside point lies at most ``far * (acos(cos(half) - EPS) - half)``
       (about ``EPS * far / sin(half)``) outside a border line; an annulus
       cell farther than that (plus rounding) outside the cone is dropped by
-      its corners;
+      its corners, and no annulus is read when the whole box is;
     - once a best key exists, so is every annulus cell whose lower key bound
       (smallest corner projection on the axis, or distance to the apex)
       exceeds it by more than rounding.
@@ -298,35 +327,51 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
     i0, j0 = idx.cell_of(ax, ay)
     # the first batch, clipped to the grid: rows jlo to jhi - 1 of each of
     # its columns, whose flat cells start at ``cols``, are one run of ``order``
-    r, ny, starts = _FIRST_RINGS - 1, idx.ny, idx.starts
+    r, ny, starts, order = _FIRST_RINGS - 1, idx.ny, idx.starts, idx.order
     jlo, jhi = max(j0 - r, 0), min(j0 + r, ny - 1) + 1
     cols = range(max(i0 - r, 0) * ny, min(i0 + r, idx.nx - 1) * ny + 1, ny)
-    ids = np.concatenate([idx.order[starts[c + jlo]:starts[c + jhi]] for c in cols])
-    xs, ys = ps.xs[ids], ps.ys[ids]
+    runs = [order[starts[c + jlo]:starts[c + jhi]] for c in cols]
     if extra is not None:
-        ids = np.concatenate((ids, (-1,)))
-        xs = np.concatenate((xs, (extra.real,)))
-        ys = np.concatenate((ys, (extra.imag,)))
-    inside, key, border = _candidate_key(xs - ax, ys - ay, nu, half, triangle)
-    best = _lexmin(key[inside], border[inside], ids[inside]) if inside.any() else None
+        runs.append((-1,))
+    ids = np.concatenate(runs)
+    # the gather copies, so the target's slot is overwritten in place; an
+    # empty set has no point to gather there
+    zs = ps.zs[ids] if len(ps) else np.empty(len(ids), dtype=np.complex128)
+    if extra is not None:
+        zs[-1] = extra
+    d = zs - apex
+    best = _candidate_key(d.real, d.imag, nu, half, triangle, ids)
     first, kmax = idx.ring_span(i0, j0)
     a = max(_FIRST_RINGS, first)    # rings between hold no point
     cell = idx.cell
     key_factor = max(math.cos(half) - EPS, 0.0) if triangle else 1.0
-    convex = half <= 0.5 * math.pi
-    ulo = (math.cos(nu - half), math.sin(nu - half))
-    uhi = (math.cos(nu + half), math.sin(nu + half))
-    c, s = math.cos(nu), math.sin(nu)
     slack = idx.slack               # the bounds and the keys round differently
     # no indexed point is farther than ``far`` from the apex, so no key is
     # more than EPS * far below the bound of its ring
     far = math.hypot(max(ax - rect.x0, rect.x0 + idx.nx * cell - ax),
                      max(ay - rect.y0, rect.y0 + idx.ny * cell - ay))
     low = slack + EPS * far
-    cone = slack + far * (math.acos(math.cos(half) - EPS) - half) if convex else None
-    while a <= kmax:
-        if best is not None and (a - 1) * cell * key_factor - low > best[0]:
-            break                   # the stop rule
+
+    def stopped(a):
+        # past the box, or the stop rule
+        return a > kmax or (best is not None and (a - 1) * cell * key_factor - low > best[0])
+
+    if stopped(a):
+        return best
+    convex = half <= 0.5 * math.pi
+    if convex:
+        ulo = (math.cos(nu - half), math.sin(nu - half))
+        uhi = (math.cos(nu + half), math.sin(nu + half))
+        cone = slack + far * (math.acos(math.cos(half) - EPS) - half)
+        # the box's corners bound those of every cell in it, so when the box
+        # is wholly outside one border half-plane, so is every annulus cell
+        bi_lo, bi_hi, bj_lo, bj_hi = idx.box
+        x_lo, y_lo = rect.x0 + bi_lo * cell - ax, rect.y0 + bj_lo * cell - ay
+        x_hi, y_hi = rect.x0 + bi_hi * cell - ax + cell, rect.y0 + bj_hi * cell - ay + cell
+        if not _meets_cone(x_lo, x_hi, y_lo, y_hi, ulo, uhi, cone):
+            return best
+    c, s = math.cos(nu), math.sin(nu)
+    while True:
         b = min(2 * a, kmax + 1)
         if best is not None and key_factor > 0.0:
             # the stop rule ends the scan by this ring
@@ -339,17 +384,7 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
         x_hi = x_lo + cell
         y_lo = rect.y0 + cj * cell - ay
         y_hi = y_lo + cell
-        keep = None
-        if convex:
-            # a cell is wholly outside one of the cone's half-planes when its
-            # largest (smallest) corner cross product with the border is
-            # below -cone (above cone); the corner that attains it follows
-            # from the signs
-            lo_max = (ulo[0] * (y_hi if ulo[0] >= 0.0 else y_lo)
-                      - ulo[1] * (x_lo if ulo[1] >= 0.0 else x_hi))
-            hi_min = (uhi[0] * (y_lo if uhi[0] >= 0.0 else y_hi)
-                      - uhi[1] * (x_hi if uhi[1] >= 0.0 else x_lo))
-            keep = (lo_max >= -cone) & (hi_min <= cone)
+        keep = _meets_cone(x_lo, x_hi, y_lo, y_hi, ulo, uhi, cone) if convex else None
         if best is not None:
             if triangle:
                 bound = (x_lo if c >= 0.0 else x_hi) * c + (y_lo if s >= 0.0 else y_hi) * s
@@ -360,14 +395,26 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
             keep = near if keep is None else keep & near
         cells = ci * idx.ny + cj
         ids = idx.gather(cells if keep is None else cells[keep])
-        inside, key, border = _candidate_key(ps.xs[ids] - ax, ps.ys[ids] - ay, nu, half,
-                                             triangle)
-        if inside.any():
-            cand = _lexmin(key[inside], border[inside], ids[inside])
-            if best is None or cand < best:
-                best = cand
+        d = ps.zs[ids] - apex
+        cand = _candidate_key(d.real, d.imag, nu, half, triangle, ids)
+        if cand is not None and (best is None or cand < best):
+            best = cand
         a = b
-    return best
+        if stopped(a):
+            return best
+
+
+def _meets_cone(x_lo, x_hi, y_lo, y_hi, ulo, uhi, cone):
+    """Whether the cells with offsets ``[x_lo, x_hi] x [y_lo, y_hi]`` from
+    the apex may meet the convex cone between the border directions ``ulo``
+    and ``uhi``: a cell is wholly outside one of its half-planes when its
+    largest (smallest) corner cross product with the border is below -cone
+    (above cone); the corner that attains it follows from the signs."""
+    lo_max = (ulo[0] * (y_hi if ulo[0] >= 0.0 else y_lo)
+              - ulo[1] * (x_lo if ulo[1] >= 0.0 else x_hi))
+    hi_min = (uhi[0] * (y_lo if uhi[0] >= 0.0 else y_hi)
+              - uhi[1] * (x_hi if uhi[1] >= 0.0 else x_lo))
+    return (lo_max >= -cone) & (hi_min <= cone)
 
 
 def nearest_in_sector(ps: PointSet, apex, direction: float, half_angle: float,
@@ -381,7 +428,9 @@ def nearest_in_sector(ps: PointSet, apex, direction: float, half_angle: float,
     resort ties).  Returns ``(point, key, id)`` with ``id = -1`` for the
     extra point, or ``None`` when the sector is empty.  Most queries are
     answered by the first batch, the 7 x 7 block of cells around the apex
-    cell read with no cone test (see ``_sector_scan``).
+    cell read with no cone test and scored by one ``_candidate_key`` call,
+    which computes border distances only for candidates whose keys tie
+    exactly (see ``_sector_scan``).
 
     A point at distance ``r > 0`` from the apex is inside when its
     projection on the bisector is at least ``r * (cos(half_angle) - EPS)``.
@@ -411,7 +460,7 @@ def nearest_in_sector(ps: PointSet, apex, direction: float, half_angle: float,
     key, _, pid = best
     if pid == -1:
         return extra, key, -1
-    return complex(ps.xs[pid], ps.ys[pid]), key, pid
+    return complex(ps.zs[pid]), key, pid
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,8 @@ def test_run_experiment_cost_columns_consistent():
 
 def _synthetic_row(n, hausdorff, length=1.0, pred=1.0):
     return ResultRow(n=n, seed=0, s=0j, t=1 + 0j, kind="straight-t",
-                     theta=math.pi / 2, success=True, monotone=True, nb=10,
+                     theta=math.pi / 2, success=True, exit_reason="reached",
+                     monotone=True, nb=10,
                      length=length, pred_nb=10.0, pred_length=pred,
                      cost_values={}, pred_costs={}, hausdorff=hausdorff,
                      sup_pos_err=0.0, navmax=0.0, wall_time=0.0)
@@ -199,6 +200,27 @@ def test_summarize_per_n_fields():
     g = s["per_n"][0]
     assert g["runs"] == 2 and g["successes"] == 2 and g["monotone_ok"]
     assert g["mean_rel_len_err"] >= 0.0
+    assert g["exit_reasons"] == {"reached": 2}
+
+
+def test_summarize_counts_exit_reasons(tmp_path):
+    """Runs cut by their step budget count as max-steps, apart from those
+    that reach the target; the CSV is the same as without the count."""
+    nav = NavSpec(kind=NavKind.STRAIGHT_THETA, theta=math.pi / 2, max_steps=12)
+    pairs = ((0.2 + 0.5j, 0.8 + 0.5j), (0.3 + 0.3j, 0.7 + 0.7j), (0.45 + 0.5j, 0.5 + 0.5j))
+    cfg = small_config(nav=nav, pairs=pairs, json_path=str(tmp_path / "summary.json"))
+    rows = run_experiment(cfg)
+    assert [r.exit_reason for r in rows] == ["max-steps", "max-steps", "reached"] * 2
+    assert [r.nb for r in rows if r.exit_reason == "max-steps"] == [12] * 4
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    g = summary["per_n"][0]
+    assert g["runs"] == 6 and g["successes"] == 2
+    assert g["exit_reasons"] == {"max-steps": 4, "reached": 2}
+    header = (",".join(harness.CSV_COLUMNS) + ",cost_g0_scaled,pred_cost_g0,cost_g1_scaled,"
+              "pred_cost_g1,cost_g2_scaled,pred_cost_g2")
+    write_csv(rows, cfg, tmp_path / "rows.csv")
+    lines = (tmp_path / "rows.csv").read_text().splitlines()
+    assert lines[1] == header and "max-steps" not in "".join(lines)
 
 
 # -- rendering ----------------------------------------------------------------------

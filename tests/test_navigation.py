@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -324,3 +325,53 @@ def test_path_record_svg(tmp_path):
     render_svg(out, ps=ps, paths=[rec], limit_polylines=[[0.2 + 0.2j, 0.8 + 0.6j]])
     text = out.read_text()
     assert text.startswith("<svg") and text.count("<polyline") == 2
+
+
+# -- golden navigation records -----------------------------------------------------
+# One SHA-256 over the stops (by repr), the stop ids and the exit reason of
+# runs of all eight kinds, plus one-hop half-plane runs (directed-t at
+# theta = pi), on fixed sets at n = 2e3 and 1e5.  Recorded before sector
+# queries picked their winner by key alone and computed border distances only
+# on ties: any change to which point a hop picks shows here.
+
+GOLDEN_RECORDS_SHA256 = "4e18d59dda44f103868352b088bebd0bc278e7047507ca6c81ba92c16e8724c0"
+
+
+def golden_records():
+    targeted = [NavSpec(kind=NavKind.YAO, p_theta=8), NavSpec(kind=NavKind.THETA, p_theta=6),
+                NavSpec(kind=NavKind.STRAIGHT_YAO, theta=math.pi / 3),
+                NavSpec(kind=NavKind.STRAIGHT_THETA, theta=math.pi / 2),
+                NavSpec(kind=NavKind.RANDOM_NORTH_YAO, p_theta=8, north_seed=3),
+                NavSpec(kind=NavKind.RANDOM_NORTH_THETA, p_theta=6, north_seed=4),
+                NavSpec(kind=NavKind.THETA, p_theta=6, max_steps=5),
+                NavSpec(kind=NavKind.STRAIGHT_YAO, theta=1.9 * math.pi)]   # cycles
+    directed = [NavSpec(kind=NavKind.DIRECTED_YAO, theta=math.pi / 2, alpha=0.7),
+                NavSpec(kind=NavKind.DIRECTED_THETA, theta=math.pi / 2, alpha=2.9)]
+    halfplane = [NavSpec(kind=NavKind.DIRECTED_THETA, theta=math.pi, alpha=a)
+                 for a in (0.0, 0.25 * math.pi, 4.0)]
+    pairs = [(0.2 + 0.3j, 0.7 + 0.6j), (0.8 + 0.2j, 0.35 + 0.75j)]
+    for n, seed in ((2e3, 61), (1e5, 62)):
+        ps = sample_ppp(UNIT, n, seed)
+        stored = complex(*ps.points[len(ps) // 2])     # a start on a stored point
+        for spec in targeted:
+            for s, t in pairs + [(stored, 0.5 + 0.5j)]:
+                yield run(spec, s, t, ps)
+        for spec in directed:
+            for s in (0.5 + 0.5j, stored):
+                yield run_directed(spec, s, ps, stop_after=40)
+        for spec in halfplane:
+            for s in (0.5 + 0.5j, stored, 0.05 + 0.95j, 1.0 + 0.5j):
+                yield run_directed(spec, s, ps, stop_after=1)
+
+
+def test_navigation_records_match_golden_hash():
+    h = hashlib.sha256()
+    reasons = set()
+    for rec in golden_records():
+        h.update(repr(rec.stops.tolist()).encode())
+        h.update(repr([int(i) for i in rec.stop_ids]).encode())
+        h.update(rec.exit_reason.encode())
+        reasons.add(rec.exit_reason)
+    assert reasons == {"reached", "cycle", "max-steps", "step-limit", "left-inset",
+                       "sector-empty"}
+    assert h.hexdigest() == GOLDEN_RECORDS_SHA256

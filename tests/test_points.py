@@ -267,6 +267,87 @@ def test_nearest_in_sector_exact_tie_break():
     assert got[0] == 1.0 - 0.5j    # first border sits at angle -pi/4
 
 
+# -- exact key ties ------------------------------------------------------------
+# Axis 0 makes the rotation exact (cos 0 = 1, sin 0 = 0), and the offsets
+# from the apex 0.5 + 0.5j are dyadic, so equal keys are bit-equal.  The
+# cells are 0.1 for "first" (every point within ring 2: the first batch)
+# and 0.01 for "annulus" (rings 12 to 25: annulus batches).
+
+def tie_set(offsets, rate):
+    return PointSet(np.array([(0.5 + u, 0.5 + v) for u, v in offsets]), UNIT, 0,
+                    ("iid", rate))
+
+
+def assert_tie_answer(ps, apex, nu, half, shape, extra, want_id, batch):
+    want = brute_nearest(ps, apex, nu, half, shape, extra)
+    got = nearest_in_sector(ps, apex, nu, half, shape, extra=extra)
+    assert want[2] == want_id and got[2] == want_id
+    # the same key, down to the sign of a zero
+    assert (got[1], math.copysign(1.0, got[1])) == (want[0], math.copysign(1.0, want[0]))
+    i0, j0 = ps.index.cell_of(apex.real, apex.imag)
+    rings = [max(abs(i - i0), abs(j - j0)) for i, j in zip(*ps.index.cells_of(ps.xs, ps.ys))]
+    assert (max(rings) <= 3) if batch == "first" else (min(rings) >= 4)
+
+
+TIE_RATES = {"first": 100, "annulus": 10_000}
+
+
+@pytest.mark.parametrize("batch", sorted(TIE_RATES))
+def test_nearest_in_sector_ties_decided_by_border(batch):
+    """Three candidates share the smallest key; the one nearest the first
+    border (the lower border line) wins, for both shapes, also when it
+    comes after the others in its batch (a later grid column, or the
+    target's last slot)."""
+    rate = TIE_RATES[batch]
+    # triangle: key x = 0.125 for all three, borders |x sh + y ch|
+    ps = tie_set([(0.25, 0.0), (0.125, 0.0625), (0.125, 0.0), (0.125, -0.0625)], rate)
+    assert_tie_answer(ps, 0.5 + 0.5j, 0.0, math.pi / 4, "triangle", None, 3, batch)
+    ps = tie_set([(0.25, 0.0), (0.125, 0.0625), (0.125, 0.0)], rate)
+    assert_tie_answer(ps, 0.5 + 0.5j, 0.0, math.pi / 4, "triangle", 0.625 + 0.4375j, -1,
+                      batch)
+    # disk: r = 0.15625 for all three (3-4-5 offsets); id 3, in a later
+    # grid column than id 1, is nearest the first border at angle -1.2
+    assert math.hypot(0.125, 0.09375) == np.hypot(0.09375, -0.125) == 0.15625
+    ps = tie_set([(0.25, 0.0), (0.09375, 0.125), (0.15625, 0.0), (0.125, -0.09375)], rate)
+    assert_tie_answer(ps, 0.5 + 0.5j, 0.0, 1.2, "disk", None, 3, batch)
+
+
+@pytest.mark.parametrize("batch", sorted(TIE_RATES))
+def test_nearest_in_sector_ties_decided_by_id(batch):
+    """Candidates with equal keys and equal borders: the smallest id wins,
+    and the target (id -1) wins over a stored point in its place."""
+    rate = TIE_RATES[batch]
+    # disk at half-angle 1.2: both points lie past the first border's
+    # normal (along < 0), so their border is r, the key.  The winner, id 1,
+    # sits in a later grid column than id 2, so it is not first in its batch.
+    ps = tie_set([(0.25, 0.0), (0.125, 0.09375), (0.09375, 0.125)], rate)
+    assert_tie_answer(ps, 0.5 + 0.5j, 0.0, 1.2, "disk", None, 1, batch)
+    assert_tie_answer(ps, 0.5 + 0.5j, 0.0, 1.2, "disk", 0.59375 + 0.625j, -1, batch)
+    # triangle: the target on the winning stored point
+    ps = tie_set([(0.25, 0.0), (0.125, 0.0625), (0.125, -0.0625)], rate)
+    assert_tie_answer(ps, 0.5 + 0.5j, 0.0, math.pi / 4, "triangle", None, 2, batch)
+    assert_tie_answer(ps, 0.5 + 0.5j, 0.0, math.pi / 4, "triangle", 0.625 + 0.4375j, -1,
+                      batch)
+
+
+@pytest.mark.parametrize("rate", [25, 40_000], ids=["first", "annulus"])
+def test_nearest_in_sector_signed_zero_keys_on_the_halfplane_border(rate):
+    """The half-plane ahead of x = 0 from the apex 0, axis 0: a point at
+    x = -0.0 below the apex has key -0.0 (-0.0 - 0.0 is -0.0), one at
+    x = 0.0 has key 0.0.  The keys tie; the border decides, and the answer
+    carries the winner's signed key, as the brute force does."""
+    square = DensitySpec.constant(1.0, domain=Rect(-1, -1, 1, 1), inset_a=0.1)
+    batch = "first" if rate == 25 else "annulus"
+    # the point below the apex lies nearer the first border (direction -pi/2)
+    ps = PointSet(np.array([(0.5, 0.125), (0.0, 0.25), (-0.0, -0.25)]), square, 0,
+                  ("iid", rate))
+    assert_tie_answer(ps, 0j, 0.0, math.pi / 2, "triangle", None, 2, batch)
+    assert math.copysign(1.0, nearest_in_sector(ps, 0j, 0.0, math.pi / 2, "triangle")[1]) < 0
+    ps = PointSet(np.array([(0.5, 0.125), (-0.0, -0.5), (0.0, -0.25)]), square, 0,
+                  ("iid", rate))
+    assert_tie_answer(ps, 0j, 0.0, math.pi / 2, "triangle", None, 2, batch)
+
+
 @pytest.mark.parametrize("target, want", [(0.7 + 0.5j, 0), (0.55 + 0.5j, -1)])
 def test_nearest_in_sector_scores_target_with_first_batch(monkeypatch, target, want):
     # the target is scored in the same _candidate_key call as the first
@@ -374,7 +455,7 @@ def test_nearest_in_sector_annuli_start_at_the_box(monkeypatch):
                         lambda self, i0, j0, a, b: firsts.append(a) or annulus(self, i0, j0, a, b))
     idx = CORNER.index
     ilo, ihi, jlo, jhi = idx.box
-    cases = [(0.9 + 0.9j, 0.0, math.pi / 6, "triangle", 0.1 + 0.9j),
+    cases = [(0.9 + 0.9j, 1.2 * math.pi, math.pi / 6, "triangle", 0.1 + 0.9j),
              (0.9 + 0.9j, 1.25 * math.pi, math.pi / 6, "triangle", None),
              (0.5 + 0.05j, math.pi, math.pi / 4, "disk", 0.95 + 0.95j),
              (0.05 + 0.7j, 1.5 * math.pi, math.pi / 2, "triangle", None),
@@ -387,6 +468,40 @@ def test_nearest_in_sector_annuli_start_at_the_box(monkeypatch):
         assert gap > 100 and firsts[0] == gap
     i0, j0 = idx.cell_of(0.9, 0.9)
     assert idx.ring_span(i0, j0) == (min(i0 - ihi, j0 - jhi), max(i0 - ilo, j0 - jlo))
+
+
+def test_nearest_in_sector_cone_that_misses_the_box_reads_no_annulus(monkeypatch):
+    """A convex cone wholly outside one border half-plane of the box of
+    cells that hold a point (by more than the cone test's slack) ends the
+    scan after the first batch; a box that meets the cone within the slack
+    alone is still read, and both equal the brute force."""
+    firsts = []
+    annulus = points.GridIndex.annulus
+    monkeypatch.setattr(points.GridIndex, "annulus",
+                        lambda self, i0, j0, a, b: firsts.append(a) or annulus(self, i0, j0, a, b))
+    # the corner set lies in [0, 0.15]^2, wholly behind a cone aimed at +x
+    for apex, nu, half, shape, extra in [(0.9 + 0.9j, 0.0, math.pi / 6, "triangle", 0.1 + 0.9j),
+                                         (0.9 + 0.9j, 0.0, math.pi / 6, "triangle", None),
+                                         (0.5 + 0.9j, 0.5 * math.pi, math.pi / 4, "disk", None),
+                                         (0.9 + 0.3j, 0.0, math.pi / 2, "triangle", None)]:
+        firsts.clear()
+        assert_matches_brute(CORNER, apex, nu, half, shape, extra)
+        assert firsts == []
+    # the cone from 0.2 + (0.5 + 1e-13)j between the directions 0 and pi/2;
+    # its one point, 500 cells out, sits 1e-13 below the lower border line
+    # (inside, within the inside test's slack), in a row of cells whose top
+    # edge is 1e-13 below that line too: the box meets the cone only
+    # within the cone test's slack, and the scan must read it
+    apex = 0.2 + (0.5 + 1e-13) * 1j
+    ps = PointSet(np.array([(0.7005, 0.4999999999999999)]), UNIT, 0, ("iid", 1e6))
+    idx = ps.index
+    assert idx.box == (700, 700, 499, 499) and idx.cell_of(apex.real, apex.imag) == (200, 500)
+    assert -1e-12 < idx.rect.y0 + 499 * idx.cell - apex.imag + idx.cell < 0.0
+    firsts.clear()
+    assert brute_nearest(ps, apex, math.pi / 4, math.pi / 4, "disk")[2] == 0
+    assert_matches_brute(ps, apex, math.pi / 4, math.pi / 4, "disk", None)
+    assert_matches_brute(ps, apex, math.pi / 4, math.pi / 4, "triangle", None)
+    assert firsts == [500, 500]
 
 
 # -- the half-plane: directed-t at theta = pi ------------------------------------
