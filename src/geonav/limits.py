@@ -12,7 +12,9 @@ intensity.  This module evaluates the speed/stretch constants, solves the
 flow with an explicit Euler scheme, and combines both into per-pair
 predictions of path length, stage count, and power costs.  Every Euler walk
 has one stop, its target: ``euler_solve(spec, target)`` integrates until the
-walk crosses it.
+walk crosses it.  Every walk has a budget of ten million steps, and one
+whose length alone shows it cannot end within that is refused before its
+first step.
 
 Every constant a prediction uses is exact: closed forms, and for the hop
 moments ``q`` of the projection-capped family at g outside {0, 1, 2} a
@@ -27,13 +29,18 @@ through the corner for cross kinds, each leg with its own ``(lam, q)``
 constants.  ``predict_straight`` and ``predict_cross`` share one body over
 those legs: the length is the sum of ``q * |leg|``, the stage count the sum
 of the legs' hitting times, and the curve the legs' Euler walks glued end to
-end.  ``predict_cost`` walks the same legs once for all exponents, carrying
-one cost accumulator per exponent in ``euler_solve``.
+end.  ``predict_cost`` walks the same legs once for all exponents.
+``euler_solve`` and ``predict_cost`` step through one kernel (``_walk``),
+which records the density at each iterate and builds the position curve only
+for ``euler_solve``; each exponent's cost is folded from those densities
+after the walk, in the order an accumulator carried through the steps would
+add them, so it is the same float.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -352,16 +359,35 @@ def _point_curve(z: complex, end_costs: tuple = ()) -> LimitCurve:
     return LimitCurve(np.zeros(1), np.array([[z.real, z.imag]]), 0.0, end_costs)
 
 
-def euler_solve(spec: OdeSpec, target) -> LimitCurve:
-    """Explicit Euler iterates of the flow from ``spec.start`` up to
-    ``target``, with every cost of the spec carried in one scalar accumulator
-    per exponent.
+# Every walk stops after this many steps.  The margin keeps rounding in a
+# walk's lower bound on its step count from refusing a walk that would end.
+_STEP_BUDGET = 10_000_000
+_BUDGET_MARGIN = 1.01
 
-    The direction is constant, so hitting the target reduces to crossing its
-    arc-length offset; the crossing step is shortened by linear
-    interpolation, which keeps the g=0 and g=1 cost identities exact.  The
-    global error is O(h).  Raises StepOutOfDomain when an iterate leaves the
-    domain before the target.
+
+def _check_step_budget(arc: float, lam: float, h: float, density: DensitySpec) -> None:
+    """Raise StepOutOfDomain when a walk of length ``arc`` at speed ``lam``
+    cannot end within the step budget.
+
+    No step from a point of the domain is longer than ``h*lam/sqrt(m_f)``, so
+    the walk takes at least ``arc*sqrt(m_f)/(lam*h)`` steps.
+    """
+    if arc * math.sqrt(density.m_f) > _STEP_BUDGET * _BUDGET_MARGIN * (lam * h):
+        raise StepOutOfDomain(f"a walk of length {arc:g} at step {h:g} needs more "
+                              f"than {_STEP_BUDGET} steps")
+
+
+def _walk(spec: OdeSpec, target, curve: bool):
+    """The explicit Euler walk of the flow from ``spec.start`` to ``target``.
+
+    Returns ``(fs, frac, end, pos)``: the density at every iterate the walk
+    steps from, the crossing step's last one included; the fraction of that
+    step that reaches the target; the end point; and, with ``curve``, the
+    iterates before the crossing step (else None).  Each full step lasts
+    ``h`` and the crossing step ``frac*h``.  A zero-length walk has no step:
+    ``fs`` is empty.  Raises StepOutOfDomain when an iterate leaves the
+    domain before the target, or when the walk cannot end within the step
+    budget.
     """
     f_at = spec.density.scalar()
     dom = spec.density.domain
@@ -369,18 +395,22 @@ def euler_solve(spec: OdeSpec, target) -> LimitCurve:
     e = complex(math.cos(spec.nu), math.sin(spec.nu))
     lam = spec.lam
     h = spec.h
-    rates = [(q, g / 2.0) for q, g in zip(spec.cost_q, spec.cost_g)]
-    cost = [0.0] * len(rates)
     arc_goal = abs(as_point(target) - start)
+    fs = []
+    pos = [start] if curve else None
     if arc_goal == 0.0:
-        return _point_curve(start, tuple(cost))
+        return fs, 0.0, start, pos
+    # the bound holds for steps from the domain; a start outside it is left
+    # to the domain test below
+    if dom.contains(start):
+        _check_step_budget(arc_goal, lam, h, spec.density)
     x0, y0, x1, y1 = dom.x0, dom.y0, dom.x1, dom.y1
-    times = [0.0]
-    pos = [start]
+    record = fs.append
+    keep = pos.append if curve else None
     z = start
-    t = 0.0
-    for _ in range(10_000_000):
+    for _ in itertools.repeat(None, _STEP_BUDGET):
         f = f_at(z.real, z.imag)
+        record(f)
         speed = lam / math.sqrt(f)
         znew = z + h * speed * e
         arc_new = abs(znew - start)
@@ -389,33 +419,78 @@ def euler_solve(spec: OdeSpec, target) -> LimitCurve:
             frac = 1.0 if arc_new == arc_old else \
                 (arc_goal - arc_old) / (arc_new - arc_old)
             frac = min(max(frac, 0.0), 1.0)
-            z = z + frac * h * speed * e
-            t += frac * h
-            times.append(t)
-            pos.append(z)
-            if rates:
-                cost = [c + frac * (h * q / f ** half_g)
-                        for c, (q, half_g) in zip(cost, rates)]
-            break
+            return fs, frac, z + frac * h * speed * e, pos
         if not (x0 <= znew.real <= x1 and y0 <= znew.imag <= y1):
-            raise StepOutOfDomain(f"iterate left the domain at t={t + h:g}")
+            t = 0.0
+            for _ in fs:
+                t += h
+            raise StepOutOfDomain(f"iterate left the domain at t={t:g}")
         z = znew
-        t += h
-        times.append(t)
-        pos.append(z)
-        if rates:
-            cost = [c + h * q / f ** half_g for c, (q, half_g) in zip(cost, rates)]
+        if curve:
+            keep(z)
+    raise StepOutOfDomain("target not reached within the iteration budget")
+
+
+def _walk_cost(fs: list, frac: float, h: float, q: float, g: float) -> float:
+    """The cost equation's Euler sum over a walk's densities ``fs``.
+
+    Adds ``h*q / f**(g/2)`` for each full step, then ``frac`` of the
+    crossing step's term, one float operation at a time in walk order, so it
+    equals the accumulator carried through the steps bit for bit.  The sum is
+    a plain left fold: compensated or pairwise summation (``math.fsum``,
+    numpy, ``sum`` on Python 3.12+) rounds differently.  ``f**0.0 == 1.0``
+    and ``f**1.0 == f`` exactly, so g = 0 and g = 2 skip ``pow``.
+    """
+    if not fs:
+        return 0.0
+    hq = h * q
+    half_g = g / 2.0
+    full = itertools.islice(fs, len(fs) - 1)
+    cost = 0.0
+    if half_g == 0.0:
+        for _ in full:
+            cost += hq
+    elif half_g == 1.0:
+        for f in full:
+            cost += hq / f
     else:
-        raise StepOutOfDomain("target not reached within the iteration budget")
+        for f in full:
+            cost += hq / f ** half_g
+    return cost + frac * (hq / fs[-1] ** half_g)
+
+
+def euler_solve(spec: OdeSpec, target) -> LimitCurve:
+    """Explicit Euler iterates of the flow from ``spec.start`` up to
+    ``target``, with every cost of the spec.
+
+    The direction is constant, so hitting the target reduces to crossing its
+    arc-length offset; the crossing step is shortened by linear
+    interpolation, which keeps the g=0 and g=1 cost identities exact.  The
+    walk records the density at each iterate, and each exponent's cost is
+    folded from those densities after it (``_walk_cost``), equal bit for bit
+    to an accumulator carried through the steps.  The global error is O(h).
+    Raises StepOutOfDomain when an iterate leaves the domain before the
+    target, or when the walk cannot end within ten million steps.
+    """
+    fs, frac, end, pos = _walk(spec, target, curve=True)
+    h = spec.h
+    costs = tuple(_walk_cost(fs, frac, h, q, g) for q, g in zip(spec.cost_q, spec.cost_g))
+    if not fs:
+        return _point_curve(end, costs)
+    pos.append(end)
+    times = list(itertools.accumulate(itertools.repeat(h, len(fs) - 1), initial=0.0))
+    t = times[-1] + frac * h
+    times.append(t)
     arr = np.array(pos, dtype=np.complex128).view(np.float64).reshape(-1, 2)
-    return LimitCurve(np.asarray(times), arr, t, tuple(cost))
+    return LimitCurve(np.asarray(times), arr, t, costs)
 
 
 def hit_time(lam: float, s, t, density: DensitySpec, h: float) -> float:
     """Time for the flow at speed ``lam`` to traverse the segment [s, t].
 
     Solves the 1-D reduction along the segment with explicit Euler and one
-    linear interpolation of the crossing step.
+    linear interpolation of the crossing step.  Raises StepOutOfDomain when
+    the walk cannot end within ten million steps.
     """
     if not h > 0.0:
         raise ValueError("step h must be > 0")
@@ -428,9 +503,10 @@ def hit_time(lam: float, s, t, density: DensitySpec, h: float) -> float:
     f_at = density.scalar()
     e = (t - s) / abs(t - s)
     goal = abs(t - s)
+    _check_step_budget(goal, lam, h, density)
     arc = 0.0
     time = 0.0
-    while True:
+    for _ in itertools.repeat(None, _STEP_BUDGET):
         p = s + arc * e
         speed = lam / math.sqrt(f_at(p.real, p.imag))
         step = h * speed
@@ -438,6 +514,7 @@ def hit_time(lam: float, s, t, density: DensitySpec, h: float) -> float:
             return time + h * (goal - arc) / step
         arc += step
         time += h
+    raise StepOutOfDomain("target not reached within the iteration budget")
 
 
 # -- per-pair predictions ----------------------------------------------------
@@ -558,7 +635,7 @@ def predict_cost(kind, theta: float, exponents, s, t, density: DensitySpec,
     qs = tuple(hop_moment(kind, angle, g) for g in exponents)
     totals = [0.0] * len(exponents)
     for leg in legs:
-        curve = euler_solve(_leg_spec(leg, density, h, cost_q=qs, cost_g=exponents),
-                            leg[1])
-        totals = [c + leg_cost for c, leg_cost in zip(totals, curve.end_costs)]
+        fs, frac, _, _ = _walk(_leg_spec(leg, density, h), leg[1], curve=False)
+        totals = [c + _walk_cost(fs, frac, h, q, g)
+                  for c, q, g in zip(totals, qs, exponents)]
     return tuple(totals)

@@ -1,13 +1,15 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from geonav import (DensitySpec, GammaLeavesInset, NavKind, OdeSpec,
-                    OutOfRangeTheta, Rect, constants, euler_solve, hit_time,
-                    mc_constants, predict_cost, predict_cross, predict_straight)
+                    OutOfRangeTheta, Rect, StepOutOfDomain, constants,
+                    euler_solve, hit_time, mc_constants, predict_cost,
+                    predict_cross, predict_straight)
 from geonav import limits
 from geonav.limits import hop_moment
 
@@ -294,6 +296,113 @@ def test_euler_perturbation_stability():
     assert max(ratios.values()) / min(ratios.values()) <= 3.0
 
 
+def reference_costs(spec, target):
+    """The cost walk as one accumulator per exponent, rebuilt at every Euler
+    step: the rule each folded cost must equal bit for bit."""
+    f_at = spec.density.scalar()
+    start = spec.start
+    e = complex(math.cos(spec.nu), math.sin(spec.nu))
+    h = spec.h
+    rates = [(q, g / 2.0) for q, g in zip(spec.cost_q, spec.cost_g)]
+    cost = [0.0] * len(rates)
+    arc_goal = abs(target - start)
+    z = start
+    while True:
+        f = f_at(z.real, z.imag)
+        speed = spec.lam / math.sqrt(f)
+        znew = z + h * speed * e
+        arc_new = abs(znew - start)
+        if arc_new >= arc_goal:
+            arc_old = abs(z - start)
+            frac = 1.0 if arc_new == arc_old else \
+                (arc_goal - arc_old) / (arc_new - arc_old)
+            frac = min(max(frac, 0.0), 1.0)
+            return tuple(c + frac * (h * q / f ** half_g)
+                         for c, (q, half_g) in zip(cost, rates))
+        z = znew
+        cost = [c + h * q / f ** half_g for c, (q, half_g) in zip(cost, rates)]
+
+
+FOLD_DENSITIES = [DensitySpec.constant(1.7), DensitySpec.affine(1.0, 0.8, -0.3),
+                  DensitySpec.radial_bump((0.5, 0.5), 0.5, 1.5, 0.3)]
+FOLD_EXPONENTS = (0.0, 0.5, 1.0, 2.0, 3.0, 7.5)
+
+
+@pytest.mark.parametrize("dens", FOLD_DENSITIES, ids=lambda d: d.kind)
+@pytest.mark.parametrize("h", [None, 1e-3])
+def test_folded_costs_equal_the_per_step_accumulator(dens, h):
+    # random legs in the inset (through the bump's disk and across its rim),
+    # random speeds and rates: every cost equal bit for bit, so a fold that
+    # sums in another order (math.fsum, numpy's pairwise sum) or rounds the
+    # crossing term otherwise fails
+    h = h if h is not None else limits.default_step(dens)
+    rng = random.Random(75)
+    # long legs, then legs a few steps long, where the crossing step's term
+    # is much of each cost
+    for reach in (None, 1.0, 1.0, 2.0, 2.0, 3.0):
+        a = complex(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
+        b = complex(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)) if reach is None \
+            else a + cmath.rect(rng.uniform(0.1, reach) * h, rng.uniform(0, 2 * math.pi))
+        qs = tuple(rng.uniform(0.5, 2.0) for _ in FOLD_EXPONENTS)
+        spec = OdeSpec(rng.uniform(0.6, 1.4), cmath.phase(b - a), a, dens, h,
+                       cost_q=qs, cost_g=FOLD_EXPONENTS)
+        assert euler_solve(spec, b).end_costs == reference_costs(spec, b)
+    # predict_cost folds the same sums over each leg of a cross pair
+    s, t = 0.2 + 0.25j, 0.75 + 0.6j
+    legs = limits._legs("t", None, 6, s, t, dens)
+    qs = tuple(hop_moment("t", math.pi / 3, g) for g in FOLD_EXPONENTS)
+    want = [0.0] * len(FOLD_EXPONENTS)
+    for leg in legs:
+        spec = limits._leg_spec(leg, dens, h, cost_q=qs, cost_g=FOLD_EXPONENTS)
+        want = [c + leg_cost for c, leg_cost in zip(want, reference_costs(spec, leg[1]))]
+    assert len(legs) == 2
+    assert predict_cost("t", math.pi / 3, FOLD_EXPONENTS, s, t, dens, h=h, p_theta=6) \
+        == tuple(want)
+
+
+WALKS = {
+    "hit_time": lambda lam, s, t, dens, h: hit_time(lam, s, t, dens, h),
+    "euler_solve": lambda lam, s, t, dens, h: euler_solve(
+        OdeSpec(lam, cmath.phase(t - s), s, dens, h, cost_q=(1.0,), cost_g=(2.0,)), t),
+}
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_walks_refuse_a_step_count_over_the_budget_before_stepping(count_density_calls,
+                                                                 walk):
+    # f >= 1 here, so a walk of length 0.6 at lam 1.2 takes at least
+    # 0.6/(1.2*h) steps: 5e11 at h = 1e-12, where the budget is 1e7
+    calls = count_density_calls(5000)
+    dens = DensitySpec.affine(1.0, 0.8, 0.3)
+    with pytest.raises(StepOutOfDomain, match="steps"):
+        WALKS[walk](1.2, 0.2 + 0.5j, 0.8 + 0.5j, dens, 1e-12)
+    assert calls == []
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_walks_within_the_budget_are_not_refused(count_density_calls, walk):
+    # at f = 1 and lam 1 a walk of length 0.6 takes 0.6/h steps: just under
+    # the budget it must start stepping
+    calls = count_density_calls(50)
+    h = 0.6 / (limits._STEP_BUDGET - 10)
+    with pytest.raises(RuntimeError, match="first steps"):
+        WALKS[walk](1.0, 0.2 + 0.5j, 0.8 + 0.5j, UNIT, h)
+    assert len(calls) == 51
+
+
+def test_predictions_refuse_a_step_too_fine_for_the_budget(count_density_calls):
+    calls = count_density_calls(5000)
+    dens = DensitySpec.affine(1.0, 0.8, -0.3)
+    s, t = 0.2 + 0.3j, 0.7 + 0.6j
+    with pytest.raises(StepOutOfDomain):
+        predict_straight("straight-t", math.pi / 2, s, t, dens, h=1e-12)
+    with pytest.raises(StepOutOfDomain):
+        predict_cross("t", 6, s, t, dens, h=1e-12)
+    with pytest.raises(StepOutOfDomain):
+        predict_cost("t", math.pi / 3, (0.0, 1.0), s, t, dens, h=1e-12, p_theta=6)
+    assert calls == []
+
+
 # -- hitting times -------------------------------------------------------------------
 
 def test_hit_time_constant_density():
@@ -423,8 +532,8 @@ def test_predict_cost_walks_each_leg_once(monkeypatch):
     # one cost walk per leg carries every exponent: one walk for a segment,
     # two for a cross pair with a corner, none without exponents or for s == t
     walks = []
-    solve = limits.euler_solve
-    monkeypatch.setattr(limits, "euler_solve", lambda *a: walks.append(a) or solve(*a))
+    walk = limits._walk
+    monkeypatch.setattr(limits, "_walk", lambda *a, **k: walks.append(a) or walk(*a, **k))
     cases = [("straight-t", math.pi / 2, None, 0.2 + 0.5j, 0.8 + 0.5j, 1),
              ("t", math.pi / 3, 6, 0j, cmath.rect(1.0, 20 * DEG), 2)]
     for kind, theta, p, s, t, legs in cases:
