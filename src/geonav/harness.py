@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensitySpec, Rect
-from .errors import ConfigError, EmptyInput, NoValidPairs, OutOfRangeTheta
+from .errors import ConfigError, EmptyInput, NoValidPairs, OutOfRangeTheta, StepOutOfDomain
 from .geometry import CrossParams, as_point, gamma_path, hausdorff_distance
-from .limits import (check_theta, hop_moment, limit_path_in_inset,
-                     predict_cost, predict_cross, predict_straight)
+from .limits import (_check_step_budget, _legs, check_theta, default_step, hop_moment,
+                     limit_path_in_inset, predict_cost, predict_cross, predict_straight)
 from .navigation import (CROSS_KINDS, DIRECTED_KINDS, NavKind, NavSpec,
                          costs, run)
 from .points import navmax, sample_ppp
@@ -205,9 +205,19 @@ class ResultRow:
 
 
 def _predictions(config: ExperimentConfig, pairs):
-    """Per-pair limit predictions; independent of n and seed."""
+    """Per-pair limit predictions; independent of n and seed.
+
+    Raises ConfigError before the first walk when ``euler_h`` is too fine
+    for some pair's walks to end within the step budget."""
     nav = config.nav
     dens = config.density
+    h = config.euler_h if config.euler_h is not None else default_step(dens)
+    for s, t in pairs:
+        for a, b, lam, _ in _legs(nav.kind, nav.theta, nav.p_theta, s, t, dens):
+            try:
+                _check_step_budget(abs(b - a), lam, h, dens)
+            except StepOutOfDomain as exc:
+                raise ConfigError(f"euler_h: {exc}") from exc
     exponents = tuple(float(g) for g in config.exponents)
     preds = []
     for s, t in pairs:

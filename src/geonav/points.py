@@ -7,12 +7,11 @@ per grid column, with no cone test, with its target in the last slot, as id
 -1.  One scorer call per batch (``_candidate_key``) returns the batch's
 smallest ``(key, border, id)``: the smallest key among the inside
 candidates, with the border distance computed only to break exact key
-ties.  Most queries stop there, before any annulus is set up.  Otherwise
-the query reads square rings of cells in annuli through the gather, from
-the first ring that meets the box of cells that hold a point (none when a
-convex cone misses the whole box), drops cells that cannot meet the query
-cone or whose lower key bound exceeds the best key so far, and stops as
-soon as no unvisited ring can beat it.
+ties.  Most queries stop there.  Otherwise the query reads later rings as
+column runs too, from the first ring that meets the box of cells that hold
+a point (none when a convex cone misses the whole box), one interval of
+rows per column holding the cells that may meet the cone and beat the best
+key so far, until no unvisited ring can beat it.
 
 The diagnostics run on one vectorised cell-list gather
 (``GridIndex.gather``).  ``navmax`` and ``maxball`` share one lattice of the
@@ -82,27 +81,6 @@ class GridIndex:
         cnt = self.starts[cells + 1] - lo
         ids = self.order[_ranges(lo, cnt)]
         return ids if owners is None else (ids, np.repeat(owners, cnt))
-
-    def annulus(self, i0: int, j0: int, a: int, b: int):
-        """Cells at Chebyshev distance ``a`` to ``b - 1`` (``a >= 1``) from
-        ``(i0, j0)``, clipped to the grid, as arrays ``(i, j)``: two bands of
-        whole columns ``i``, then the columns between them cut to their two
-        ends."""
-        ilo, ihi = max(i0 - b + 1, 0), min(i0 + b - 1, self.nx - 1)
-        jlo, jhi = max(j0 - b + 1, 0), min(j0 + b - 1, self.ny - 1)
-        band_i = np.r_[ilo:min(i0 - a, ihi) + 1, max(i0 + a, ilo):ihi + 1]
-        mid_i = np.arange(max(i0 - a + 1, ilo), min(i0 + a - 1, ihi) + 1)
-        band_j = np.r_[jlo:min(j0 - a, jhi) + 1, max(j0 + a, jlo):jhi + 1]
-        all_j = np.arange(jlo, jhi + 1)
-        return (np.concatenate([np.repeat(band_i, len(all_j)), np.repeat(mid_i, len(band_j))]),
-                np.concatenate([np.tile(all_j, len(band_i)), np.tile(band_j, len(mid_i))]))
-
-    def count_within(self, i0: int, j0: int, m: int) -> int:
-        """Number of cells at Chebyshev distance below ``m`` from ``(i0, j0)``."""
-        if m <= 0:
-            return 0
-        return ((min(i0 + m - 1, self.nx - 1) - max(i0 - m + 1, 0) + 1)
-                * (min(j0 + m - 1, self.ny - 1) - max(j0 - m + 1, 0) + 1))
 
     def ring_span(self, i0: int, j0: int) -> tuple[int, int]:
         """The first and the last ring around ``(i0, j0)`` that meet ``box``
@@ -278,11 +256,9 @@ def _candidate_key(dx, dy, nu: float, half: float, triangle: bool, ids):
     return float(k[w]), float(border[m]), int(ids[w])
 
 
-# rings 0-3 around the apex cell are the first batch, read as one run of
-# cells per grid column; later rings are read in annuli.  A sector scan's
-# annulus batch and a pass of _gather_around read at most _PASS_CELLS cells,
-# which bounds the temporary arrays of a scan that never exits early (the
-# half-plane) and of the diagnostics on a sparse set
+# rings 0-3 around the apex cell are a sector scan's first batch.  A pass
+# of _gather_around reads at most _PASS_CELLS cells, which bounds the
+# temporary arrays of the diagnostics on a sparse set
 _FIRST_RINGS = 4
 _PASS_CELLS = 1 << 14
 # navmax walks its lattice in blocks of _NAVMAX_BLOCK apexes (blocks of 128
@@ -295,31 +271,29 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
     """Best (key, border, id) over indexed points and ``extra`` (id -1, in
     the first batch) in the infinite sector.
 
-    Each batch of candidates is scored by one ``_candidate_key`` call, which
-    returns the batch's smallest ``(key, border, id)``; the answer is the
+    Each batch is scored by one ``_candidate_key`` call; the answer is the
     smallest over all batches read.  The first batch is the block of rings
-    0-3 around the apex cell, clipped to the grid: the cells of one grid
-    column in it are one run of ``GridIndex.order``, and the target takes
-    the last slot.  It has no cone test, since extra candidates that fail
-    the inside test cannot change the answer.  Later rings are read in
-    annuli, from the first ring that meets the box of cells that hold a
-    point; the stop rule is tested before the annuli's scalars are set up,
-    so a query answered by the first batch computes none of them.  The
-    bounds allow for the inside test's slack (a projection on the axis of
-    at least ``r * (cos(half) - EPS)``, with ``r`` at most ``far``, the
-    apex's distance to the grid's farthest corner), so the scan returns what
-    a pass over every point would:
+    0-3 around the apex cell, clipped to the grid, read as one run of
+    ``GridIndex.order`` per grid column with the target in the last slot
+    and no cone test (extra candidates that fail the inside test cannot
+    change the answer).  Each later batch reads rings ``a`` to ``b - 1`` as
+    column runs (``_later_batch``), from the first ring that meets the box
+    of cells that hold a point; a query that the stop rule ends after the
+    first batch sets up no line.  The bounds allow for the inside test's
+    slack (a projection on the axis of at least ``r * (cos(half) - EPS)``,
+    with ``r`` at most ``far``, the apex's distance to the grid's farthest
+    corner), so the scan returns what a pass over every point would:
 
     - a point of ring ``k`` or beyond has a key of at least
       ``(k-1)*cell*key_factor - EPS*far``; the scan stops before ring ``k``
       once that exceeds the best key by more than rounding;
     - an inside point lies at most ``far * (acos(cos(half) - EPS) - half)``
-      (about ``EPS * far / sin(half)``) outside a border line; an annulus
-      cell farther than that (plus rounding) outside the cone is dropped by
-      its corners, and no annulus is read when the whole box is;
-    - once a best key exists, so is every annulus cell whose lower key bound
-      (smallest corner projection on the axis, or distance to the apex)
-      exceeds it by more than rounding.
+      (about ``EPS * far / sin(half)``) outside a border line, so the border
+      lines of a convex cone are moved out by that plus rounding, and no
+      later batch is read when the box lies wholly beyond one of them;
+    - once a best key exists, a later batch reads only the cells whose lower
+      key bound (smallest corner projection on the axis, or distance to the
+      apex) is at most the best key plus rounding.
     """
     idx = ps.index
     rect = idx.rect
@@ -358,43 +332,27 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
 
     if stopped(a):
         return best
-    convex = half <= 0.5 * math.pi
-    if convex:
-        ulo = (math.cos(nu - half), math.sin(nu - half))
-        uhi = (math.cos(nu + half), math.sin(nu + half))
-        cone = slack + far * (math.acos(math.cos(half) - EPS) - half)
-        # the box's corners bound those of every cell in it, so when the box
-        # is wholly outside one border half-plane, so is every annulus cell
+    cone = []
+    if half <= 0.5 * math.pi:
+        # the moved border lines as half-planes p*x + q*y <= r of offsets
+        # from the apex, and the same corner test on the whole box
+        out = slack + far * (math.acos(math.cos(half) - EPS) - half)
+        cone = [(math.sin(nu - half), -math.cos(nu - half), out),
+                (-math.sin(nu + half), math.cos(nu + half), out)]
         bi_lo, bi_hi, bj_lo, bj_hi = idx.box
         x_lo, y_lo = rect.x0 + bi_lo * cell - ax, rect.y0 + bj_lo * cell - ay
         x_hi, y_hi = rect.x0 + bi_hi * cell - ax + cell, rect.y0 + bj_hi * cell - ay + cell
-        if not _meets_cone(x_lo, x_hi, y_lo, y_hi, ulo, uhi, cone):
+        if any(p * (x_lo if p >= 0.0 else x_hi) + q * (y_lo if q >= 0.0 else y_hi) > r
+               for p, q, r in cone):
             return best
-    c, s = math.cos(nu), math.sin(nu)
     while True:
         b = min(2 * a, kmax + 1)
-        if best is not None and key_factor > 0.0:
-            # the stop rule ends the scan by this ring
-            b = max(a + 1, min(b, int((best[0] + low) / (cell * key_factor)) + 2))
-        base = idx.count_within(i0, j0, a)
-        while b > a + 1 and idx.count_within(i0, j0, b) - base > _PASS_CELLS:
-            b = (a + b) // 2
-        ci, cj = idx.annulus(i0, j0, a, b)
-        x_lo = rect.x0 + ci * cell - ax
-        x_hi = x_lo + cell
-        y_lo = rect.y0 + cj * cell - ay
-        y_hi = y_lo + cell
-        keep = _meets_cone(x_lo, x_hi, y_lo, y_hi, ulo, uhi, cone) if convex else None
-        if best is not None:
-            if triangle:
-                bound = (x_lo if c >= 0.0 else x_hi) * c + (y_lo if s >= 0.0 else y_hi) * s
-            else:
-                bound = np.hypot(np.maximum(np.maximum(x_lo, -x_hi), 0.0),
-                                 np.maximum(np.maximum(y_lo, -y_hi), 0.0))
-            near = bound <= best[0] + slack
-            keep = near if keep is None else keep & near
-        cells = ci * idx.ny + cj
-        ids = idx.gather(cells if keep is None else cells[keep])
+        lines, radius = cone, None
+        if best is not None and triangle:
+            lines = cone + [(math.cos(nu), math.sin(nu), best[0] + slack)]
+        elif best is not None:
+            radius = best[0] + slack
+        ids = _later_batch(idx, ax, ay, i0, j0, a, b, lines, radius)
         d = ps.zs[ids] - apex
         cand = _candidate_key(d.real, d.imag, nu, half, triangle, ids)
         if cand is not None and (best is None or cand < best):
@@ -404,17 +362,54 @@ def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
             return best
 
 
-def _meets_cone(x_lo, x_hi, y_lo, y_hi, ulo, uhi, cone):
-    """Whether the cells with offsets ``[x_lo, x_hi] x [y_lo, y_hi]`` from
-    the apex may meet the convex cone between the border directions ``ulo``
-    and ``uhi``: a cell is wholly outside one of its half-planes when its
-    largest (smallest) corner cross product with the border is below -cone
-    (above cone); the corner that attains it follows from the signs."""
-    lo_max = (ulo[0] * (y_hi if ulo[0] >= 0.0 else y_lo)
-              - ulo[1] * (x_lo if ulo[1] >= 0.0 else x_hi))
-    hi_min = (uhi[0] * (y_lo if uhi[0] >= 0.0 else y_hi)
-              - uhi[1] * (x_hi if uhi[1] >= 0.0 else x_lo))
-    return (lo_max >= -cone) & (hi_min <= cone)
+def _later_batch(idx: GridIndex, ax: float, ay: float, i0: int, j0: int, a: int, b: int,
+                 lines: list, radius: float | None) -> np.ndarray:
+    """Ids of the points in the box cells of rings ``a`` to ``b - 1`` around
+    ``(i0, j0)`` whose smallest corner (offset from ``(ax, ay)``) lies in
+    every half-plane ``p*x + q*y <= r`` of ``lines``, and whose nearest
+    point lies within ``radius`` unless it is None.
+
+    The region is convex, so it meets each box column in one interval of
+    rows, as a scan line meets a convex polygon: in each column a line keeps
+    a ray of rows (all or none when it is parallel to the columns), and the
+    disk, cut to its columns by two such lines, keeps a chord.  Less the
+    rows of rings below ``a``, an interval is at most two runs of ``order``.
+    """
+    ilo, ihi, jlo, jhi = idx.box
+    ilo, ihi = max(i0 - b + 1, ilo), min(i0 + b - 1, ihi)
+    jlo, jhi = max(j0 - b + 1, jlo), min(j0 + b - 1, jhi) + 1     # rows jlo to jhi - 1
+    cell = idx.cell
+    ii = np.arange(ilo, ihi + 1)
+    xs = idx.rect.x0 - ax + ii * cell       # the columns' left edges
+    y0 = idx.rect.y0 - ay                   # the grid's lower edge
+    lo, hi = np.full(len(ii), float(jlo)), np.full(len(ii), float(jhi))
+    if radius is not None:
+        # the disk's two sides, then its chord of half-height h per column
+        gap = np.maximum(np.maximum(xs, -xs - cell), 0.0)
+        h = np.sqrt(np.maximum(radius * radius - gap * gap, 0.0))
+        lines = lines + [(1.0, 0.0, radius), (-1.0, 0.0, radius), (0.0, 1.0, h), (0.0, -1.0, h)]
+    # a line near the columns' direction puts its rays of rows out to +-inf
+    with np.errstate(over="ignore"):
+        for p, q, r in lines:
+            # cell (i, j)'s smallest corner is in it when q*cell*j <= room[i]
+            room = r - q * y0 - (min(p, 0.0) + min(q, 0.0)) * cell - p * xs
+            qc = q * cell
+            if qc > 0.0:
+                hi = np.minimum(hi, np.floor(room / qc + 1.0))
+            elif qc < 0.0:
+                lo = np.maximum(lo, np.ceil(room / qc))
+            else:           # parallel to the columns, up to rounding
+                hi = np.where(room >= 0.0, hi, -np.inf)
+    lo = np.minimum(lo, jhi).astype(np.int64)
+    hi = np.maximum(hi, lo).astype(np.int64)      # an empty interval is [lo, lo)
+    # the rows of rings below ``a`` in the columns they cross were read
+    inner = np.abs(ii - i0) < a
+    end = np.where(inner, np.minimum(hi, max(j0 - a + 1, jlo)), hi)
+    start = np.where(inner, np.maximum(lo, min(j0 + a, jhi)), hi)
+    base = ii * idx.ny
+    s = idx.starts[np.concatenate([base + lo, base + start])]
+    cnt = np.maximum(idx.starts[np.concatenate([base + end, base + hi])] - s, 0)
+    return idx.order[_ranges(s, cnt)]
 
 
 def nearest_in_sector(ps: PointSet, apex, direction: float, half_angle: float,
@@ -428,9 +423,10 @@ def nearest_in_sector(ps: PointSet, apex, direction: float, half_angle: float,
     resort ties).  Returns ``(point, key, id)`` with ``id = -1`` for the
     extra point, or ``None`` when the sector is empty.  Most queries are
     answered by the first batch, the 7 x 7 block of cells around the apex
-    cell read with no cone test and scored by one ``_candidate_key`` call,
-    which computes border distances only for candidates whose keys tie
-    exactly (see ``_sector_scan``).
+    cell read as column runs with no cone test and scored by one
+    ``_candidate_key`` call, which computes border distances only for
+    candidates whose keys tie exactly; later batches are column runs too,
+    one interval of rows per column (see ``_sector_scan``).
 
     A point at distance ``r > 0`` from the apex is inside when its
     projection on the bisector is at least ``r * (cos(half_angle) - EPS)``.

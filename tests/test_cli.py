@@ -174,11 +174,12 @@ def test_experiment_invalid_value_is_config_error(tmp_path, capsys, change):
 def test_experiment_step_too_fine_for_the_budget_fails_fast(tmp_path, capsys,
                                                            count_density_calls):
     # at euler_h 1e-12 the pair's walks need about 1e11 steps, far over the
-    # budget: refused before their first step, not after hours of stepping
+    # budget: a config error, refused before any walk's first step, not
+    # after hours of stepping
     calls = count_density_calls(5000)
     cfg = write_config(tmp_path, euler_h=1e-12)
     code, out, err = run_cli(capsys, "experiment", "--config", cfg)
-    assert code == 2 and out == ""
+    assert code == 1 and out == ""
     assert "steps" in err and calls == []
 
 

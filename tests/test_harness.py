@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geonav import (ConfigError, CrossParams, DensitySpec, EmptyInput, NavKind, NavSpec,
-                    NoValidPairs, gamma_path, harness)
+                    NoValidPairs, Rect, gamma_path, harness)
 from geonav.geometry import sample_polyline
 from geonav.harness import (ExperimentConfig, ResultRow, _predictions,
                             generate_pairs, render_svg, run_experiment,
@@ -91,6 +93,32 @@ def test_generated_lattice_pairs_all_predict(p_theta):
                        grid_step=0.1, max_pairs=10_000, exponents=(0.0,), euler_h=0.5)
     pairs = generate_pairs(cfg)
     assert len(pairs) > 9000
+    assert len(_predictions(cfg, pairs)) == len(pairs)
+
+
+@settings(max_examples=100)
+@given(x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0), w=st.floats(0.5, 2.0),
+       h=st.floats(0.5, 2.0), inset=st.floats(0.02, 0.3),
+       cols=st.integers(1, 5) | st.floats(1.0, 5.0),
+       kind=st.sampled_from([NavKind.THETA, NavKind.YAO]), p_theta=st.integers(3, 8))
+def test_generated_pairs_all_predict_property(x0, y0, w, h, inset, cols, kind, p_theta):
+    """On a random rectangle and lattice step, every generated pair of a
+    cross kind predicts; a sector angle 2*pi/p_theta above the kinds' pi/3
+    is refused when the config is built."""
+    a = inset * min(w, h)
+    dens = DensitySpec.constant(1.0, domain=Rect(x0, y0, x0 + w, y0 + h), inset_a=a)
+    overrides = dict(density=dens, nav=NavSpec(kind=kind, p_theta=p_theta), pairs=None,
+                     grid_step=(max(w, h) - 2.0 * a) / cols, max_pairs=10_000,
+                     exponents=(0.0, 1.0, 2.0), euler_h=0.5)
+    if p_theta < 6:
+        with pytest.raises(ConfigError):
+            small_config(**overrides)
+        return
+    cfg = small_config(**overrides)
+    try:
+        pairs = generate_pairs(cfg)
+    except NoValidPairs:
+        return
     assert len(_predictions(cfg, pairs)) == len(pairs)
 
 

@@ -271,7 +271,7 @@ def test_nearest_in_sector_exact_tie_break():
 # Axis 0 makes the rotation exact (cos 0 = 1, sin 0 = 0), and the offsets
 # from the apex 0.5 + 0.5j are dyadic, so equal keys are bit-equal.  The
 # cells are 0.1 for "first" (every point within ring 2: the first batch)
-# and 0.01 for "annulus" (rings 12 to 25: annulus batches).
+# and 0.01 for "annulus" (rings 12 to 25: later batches).
 
 def tie_set(offsets, rate):
     return PointSet(np.array([(0.5 + u, 0.5 + v) for u, v in offsets]), UNIT, 0,
@@ -445,14 +445,22 @@ def test_nearest_in_sector_at_grid_edges_matches_brute_force(which):
                     assert_matches_brute(ps, apex, nu, half, shape, extra)
 
 
-def test_nearest_in_sector_annuli_start_at_the_box(monkeypatch):
-    """On the sparse corner set, a query far from every point reads its
-    first annulus from the first ring that meets the box of cells that hold
-    a point, and still matches the brute force."""
+def later_batch_firsts(monkeypatch):
+    """The list that ``points._later_batch`` appends the first ring ``a`` of
+    each later batch it reads to."""
     firsts = []
-    annulus = points.GridIndex.annulus
-    monkeypatch.setattr(points.GridIndex, "annulus",
-                        lambda self, i0, j0, a, b: firsts.append(a) or annulus(self, i0, j0, a, b))
+    read = points._later_batch
+    monkeypatch.setattr(points, "_later_batch",
+                        lambda idx, ax, ay, i0, j0, a, *rest:
+                        firsts.append(a) or read(idx, ax, ay, i0, j0, a, *rest))
+    return firsts
+
+
+def test_nearest_in_sector_later_batches_start_at_the_box(monkeypatch):
+    """On the sparse corner set, a query far from every point reads its
+    first later batch from the first ring that meets the box of cells that
+    hold a point, and still matches the brute force."""
+    firsts = later_batch_firsts(monkeypatch)
     idx = CORNER.index
     ilo, ihi, jlo, jhi = idx.box
     cases = [(0.9 + 0.9j, 1.2 * math.pi, math.pi / 6, "triangle", 0.1 + 0.9j),
@@ -470,15 +478,12 @@ def test_nearest_in_sector_annuli_start_at_the_box(monkeypatch):
     assert idx.ring_span(i0, j0) == (min(i0 - ihi, j0 - jhi), max(i0 - ilo, j0 - jlo))
 
 
-def test_nearest_in_sector_cone_that_misses_the_box_reads_no_annulus(monkeypatch):
+def test_nearest_in_sector_cone_that_misses_the_box_reads_no_later_batch(monkeypatch):
     """A convex cone wholly outside one border half-plane of the box of
     cells that hold a point (by more than the cone test's slack) ends the
     scan after the first batch; a box that meets the cone within the slack
     alone is still read, and both equal the brute force."""
-    firsts = []
-    annulus = points.GridIndex.annulus
-    monkeypatch.setattr(points.GridIndex, "annulus",
-                        lambda self, i0, j0, a, b: firsts.append(a) or annulus(self, i0, j0, a, b))
+    firsts = later_batch_firsts(monkeypatch)
     # the corner set lies in [0, 0.15]^2, wholly behind a cone aimed at +x
     for apex, nu, half, shape, extra in [(0.9 + 0.9j, 0.0, math.pi / 6, "triangle", 0.1 + 0.9j),
                                          (0.9 + 0.9j, 0.0, math.pi / 6, "triangle", None),
@@ -502,6 +507,24 @@ def test_nearest_in_sector_cone_that_misses_the_box_reads_no_annulus(monkeypatch
     assert_matches_brute(ps, apex, math.pi / 4, math.pi / 4, "disk", None)
     assert_matches_brute(ps, apex, math.pi / 4, math.pi / 4, "triangle", None)
     assert firsts == [500, 500]
+
+
+@pytest.mark.parametrize("near", [0.0986j, 0.0986], ids=["chord-end", "side"])
+def test_nearest_in_sector_disk_bound_keeps_the_cells_at_its_edge(monkeypatch, near):
+    """Cells of 0.01 and a non-convex disk sector from 0.5015 + 0.5015j: the
+    first later batch (rings 4-7) finds P at distance 0.099 on the diagonal;
+    Q, 0.0986 straight up or right, lies in ring 10, in a cell whose edge
+    is 0.0985 from the apex, just within the best radius, and wins.  A point
+    straight behind the apex, outside the sector, widens the box."""
+    firsts = later_batch_firsts(monkeypatch)
+    apex = 0.5015 + 0.5015j
+    p, q = apex + 0.07 + 0.07j, apex + near
+    ps = PointSet(np.array([(p.real, p.imag), (q.real, q.imag), (0.0, apex.imag)]), UNIT, 0,
+                  ("iid", 10_000))
+    assert ps.index.cell == 0.01 and abs(p - apex) > 0.0989
+    assert brute_nearest(ps, apex, 0.0, 3.0, "disk")[2] == 1
+    assert_matches_brute(ps, apex, 0.0, 3.0, "disk", None)
+    assert firsts == [4, 8]
 
 
 # -- the half-plane: directed-t at theta = pi ------------------------------------
@@ -576,7 +599,7 @@ def cell_apexes(ps, rng, count):
 def test_nearest_in_sector_pruning_matches_brute_force():
     """Half-plane triangles, non-convex disks and apexes on the grid lines,
     on a clustered set and on a sparse one (cells sized for 250 times more
-    points, so the scan reads wide annuli of empty cells)."""
+    points, so the scan's later batches span wide rings of empty cells)."""
     rng = np.random.default_rng(14)
     sparse = PointSet(rng.random((40, 2)), UNIT, 0, ("iid", 250_000))
     assert sparse.index.nx == 500
