@@ -155,24 +155,23 @@ def sample_polyline(poly, step: float) -> np.ndarray:
     return arr
 
 
-def _directed_max_min(a: np.ndarray, b: np.ndarray) -> float:
-    """max over rows of ``a`` of the min distance to rows of ``b``."""
-    worst = 0.0
-    # chunked to keep the pairwise-distance block small
-    for lo in range(0, len(a), 512):
-        blk = a[lo:lo + 512]
-        d2 = (blk[:, None, 0] - b[None, :, 0]) ** 2 + (blk[:, None, 1] - b[None, :, 1]) ** 2
-        worst = max(worst, float(np.sqrt(d2.min(axis=1)).max()))
-    return worst
-
-
 def hausdorff_distance(poly_a, poly_b, resolution: float) -> float:
     """Symmetric Hausdorff distance between two polylines.
 
     Both polylines are sampled at arc-length step <= ``resolution`` and the
     max of the two directed max-min distances over the samples is returned;
     the approximation differs from the exact value by at most ``resolution``.
+    Each block of squared distances (512 rows of ``a`` against all of ``b``,
+    to keep it small) is built once: its row minima serve ``a`` and a running
+    minimum down its columns serves ``b``.
     """
     a = sample_polyline(poly_a, resolution)
     b = sample_polyline(poly_b, resolution)
-    return max(_directed_max_min(a, b), _directed_max_min(b, a))
+    worst = 0.0
+    col = np.full(len(b), np.inf)
+    for lo in range(0, len(a), 512):
+        blk = a[lo:lo + 512]
+        d2 = (blk[:, None, 0] - b[None, :, 0]) ** 2 + (blk[:, None, 1] - b[None, :, 1]) ** 2
+        worst = max(worst, float(d2.min(axis=1).max()))
+        np.minimum(col, d2.min(axis=0), out=col)
+    return math.sqrt(max(worst, float(col.max())))

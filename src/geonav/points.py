@@ -13,14 +13,13 @@ a point (none when a convex cone misses the whole box), one interval of
 rows per column holding the cells that may meet the cone and beat the best
 key so far, until no unvisited ring can beat it.
 
-The diagnostics run on one vectorised cell-list gather
-(``GridIndex.gather``).  ``navmax`` and ``maxball`` share one lattice of the
-inset domain and one kernel, ``_gather_around``, which reads the cells at
-given offsets around each lattice point: ``navmax`` moves each block of
-``_NAVMAX_BLOCK`` lattice apexes ring by ring in lockstep, and ``maxball``
-reads, for every centre at once, the cells that can meet its ball.
-``r_min`` pairs every point with its forward half-neighbourhood in one pass
-per cell offset.
+The diagnostics read column runs through one reader, ``GridIndex.runs``.
+``navmax`` and ``maxball`` share one lattice of the inset domain and one
+kernel, ``_gather_around``, which reads runs at given offsets around each
+lattice point: ``navmax`` moves each block of ``_NAVMAX_BLOCK`` apexes ring
+by ring in lockstep, and ``maxball`` reads one run per column of the cells
+that can meet a ball, for every centre at once.  ``r_min`` pairs every
+point with its forward half-neighbourhood, read as column runs.
 """
 
 from __future__ import annotations
@@ -70,16 +69,16 @@ class GridIndex:
         return (np.clip(((xs - self.rect.x0) / self.cell).astype(np.int64), 0, self.nx - 1),
                 np.clip(((ys - self.rect.y0) / self.cell).astype(np.int64), 0, self.ny - 1))
 
-    def gather(self, cells: np.ndarray, owners: np.ndarray | None = None):
-        """Point ids in the flat ``cells`` (``i * ny + j``); ids of one cell
-        stay together, in the order of ``cells``.
-
-        With ``owners`` (one per cell: an apex or a point), returns
-        ``(ids, owner)``, each id paired with the owner of its cell.
-        """
-        lo = self.starts[cells]
-        cnt = self.starts[cells + 1] - lo
-        ids = self.order[_ranges(lo, cnt)]
+    def runs(self, cols: np.ndarray, lo: np.ndarray, end: np.ndarray,
+             owners: np.ndarray | None = None):
+        """Point ids in rows ``lo`` to ``end - 1`` (in ``0..ny``) of each
+        column ``cols``, one slice of ``order`` a run, in run order; a run
+        with ``end <= lo`` is empty.  With ``owners`` (one per run), returns
+        ``(ids, owner)``, each id paired with the owner of its run."""
+        base = cols * self.ny
+        s = self.starts[base + lo]
+        cnt = np.maximum(self.starts[base + end] - s, 0)
+        ids = self.order[_ranges(s, cnt)]
         return ids if owners is None else (ids, np.repeat(owners, cnt))
 
     def ring_span(self, i0: int, j0: int) -> tuple[int, int]:
@@ -257,8 +256,8 @@ def _candidate_key(dx, dy, nu: float, half: float, triangle: bool, ids):
 
 
 # rings 0-3 around the apex cell are a sector scan's first batch.  A pass
-# of _gather_around reads at most _PASS_CELLS cells, which bounds the
-# temporary arrays of the diagnostics on a sparse set
+# of _gather_around reads runs of at most _PASS_CELLS cells in all (or one
+# longer run), which bounds the temporary arrays of the diagnostics
 _FIRST_RINGS = 4
 _PASS_CELLS = 1 << 14
 # navmax walks its lattice in blocks of _NAVMAX_BLOCK apexes (blocks of 128
@@ -406,10 +405,8 @@ def _later_batch(idx: GridIndex, ax: float, ay: float, i0: int, j0: int, a: int,
     inner = np.abs(ii - i0) < a
     end = np.where(inner, np.minimum(hi, max(j0 - a + 1, jlo)), hi)
     start = np.where(inner, np.maximum(lo, min(j0 + a, jhi)), hi)
-    base = ii * idx.ny
-    s = idx.starts[np.concatenate([base + lo, base + start])]
-    cnt = np.maximum(idx.starts[np.concatenate([base + end, base + hi])] - s, 0)
-    return idx.order[_ranges(s, cnt)]
+    return idx.runs(np.concatenate([ii, ii]), np.concatenate([lo, start]),
+                    np.concatenate([end, hi]))
 
 
 def nearest_in_sector(ps: PointSet, apex, direction: float, half_angle: float,
@@ -421,12 +418,8 @@ def nearest_in_sector(ps: PointSet, apex, direction: float, half_angle: float,
     projection on the bisector for ``shape="triangle"``; ties break on the
     distance to the first border, then on point id (``extra`` wins last
     resort ties).  Returns ``(point, key, id)`` with ``id = -1`` for the
-    extra point, or ``None`` when the sector is empty.  Most queries are
-    answered by the first batch, the 7 x 7 block of cells around the apex
-    cell read as column runs with no cone test and scored by one
-    ``_candidate_key`` call, which computes border distances only for
-    candidates whose keys tie exactly; later batches are column runs too,
-    one interval of rows per column (see ``_sector_scan``).
+    extra point, or ``None`` when the sector is empty.  The grid is read in
+    batches of column runs, as ``_sector_scan`` describes.
 
     A point at distance ``r > 0`` from the apex is inside when its
     projection on the bisector is at least ``r * (cos(half_angle) - EPS)``.
@@ -510,22 +503,22 @@ def _lattice(ps: PointSet, grid_step: float):
 
 
 def _gather_around(idx: GridIndex, i0: np.ndarray, j0: np.ndarray, di: np.ndarray,
-                   dj: np.ndarray):
-    """Per pass, ``(ids, apex)``: the ids in the cells at offsets ``(di, dj)``
-    around each apex cell ``(i0[a], j0[a])``, clipped to ``idx.box``, each
-    paired with its apex's index ``a``.  A pass reads at most
-    ``_PASS_CELLS`` cells."""
+                   lo: np.ndarray, hi: np.ndarray):
+    """Per pass, ``(ids, apex)``: the ids in the runs ``(di, lo, hi)`` (rows
+    ``j0[a] + lo`` to ``j0[a] + hi - 1`` of column ``i0[a] + di``) around each
+    apex cell ``(i0[a], j0[a])``, clipped to ``idx.box``, each paired with its
+    apex's index ``a``.  A pass reads at most ``_PASS_CELLS`` cells before
+    clipping: every run, or one run (for one apex if it is longer)."""
     ilo, ihi, jlo, jhi = idx.box
-    width = min(len(di), _PASS_CELLS)
-    for o in range(0, len(di), width):
-        odi, odj = di[o:o + width], dj[o:o + width]
-        per = _PASS_CELLS // len(odi)
-        for lo in range(0, len(i0), per):
-            ci = i0[lo:lo + per, None] + odi
-            cj = j0[lo:lo + per, None] + odj
-            ok = (ci >= ilo) & (ci <= ihi) & (cj >= jlo) & (cj <= jhi)
-            apex = np.broadcast_to(np.arange(lo, lo + len(ci))[:, None], ci.shape)
-            yield idx.gather(ci[ok] * idx.ny + cj[ok], apex[ok])
+    cells = np.maximum(hi - lo, 1)      # an empty run still costs a lookup
+    for g in [slice(None)] if cells.sum() <= _PASS_CELLS else np.arange(len(di))[:, None]:
+        per = max(_PASS_CELLS // int(cells[g].sum()), 1)
+        for a in range(0, len(i0), per):
+            ci = i0[a:a + per, None] + di[g]
+            rlo = np.maximum(j0[a:a + per, None] + lo[g], jlo)
+            rhi = np.minimum(j0[a:a + per, None] + hi[g], jhi + 1)
+            ok = (ci >= ilo) & (ci <= ihi) & (rlo < rhi)
+            yield idx.runs(ci[ok], rlo[ok], rhi[ok], np.nonzero(ok)[0] + a)
 
 
 def _sector_radii(ps: PointSet, ax: np.ndarray, ay: np.ndarray, i0: np.ndarray,
@@ -558,7 +551,7 @@ def _sector_radii(ps: PointSet, ax: np.ndarray, ay: np.ndarray, i0: np.ndarray,
         active = active[((k - 1) * idx.cell < worst) & (k <= last[active])]
         if not len(active):
             break
-        for ids, owner in _gather_around(idx, i0[active], j0[active], *_ring_offsets(k)):
+        for ids, owner in _gather_around(idx, i0[active], j0[active], *_ring_runs(k)):
             if not len(ids):
                 continue
             owner = active[owner]
@@ -579,15 +572,13 @@ def _sector_radii(ps: PointSet, ax: np.ndarray, ay: np.ndarray, i0: np.ndarray,
     return np.minimum(turns[:, :nbins], turns[:, nbins:])
 
 
-def _ring_offsets(k: int):
-    """Cell offsets ``(di, dj)`` at Chebyshev distance ``k``."""
-    if k == 0:
-        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    side = np.arange(-k, k + 1)
-    inner = side[1:-1]
-    di = np.concatenate([side, side, np.full(len(inner), -k), np.full(len(inner), k)])
-    dj = np.concatenate([np.full(len(side), -k), np.full(len(side), k), inner, inner])
-    return di, dj
+def _ring_runs(k: int):
+    """Runs ``(di, lo, hi)`` of the cells at Chebyshev distance ``k``: two side
+    columns whole (ring 0 has one), one cell below and above each between."""
+    inner = np.arange(1 - k, k)
+    lo = np.repeat([-k, k], [2 * k + 1, len(inner)])
+    hi = np.repeat([k + 1, 1 - k, k + 1], [2, len(inner), len(inner)])[:len(lo)]
+    return np.concatenate([[-k, k], inner, inner])[:len(lo)], lo, hi
 
 
 def maxball(ps: PointSet, r: float, grid_step: float) -> int:
@@ -602,50 +593,59 @@ def maxball(ps: PointSet, r: float, grid_step: float) -> int:
         return 0
     idx = ps.index
     cx, cy, ci, cj = _lattice(ps, grid_step)
-    # the cells that can meet a ball centred in cell (0, 0): rings out to a
-    # one-cell margin, less those whose axis gaps of |d| - 1 cells already
-    # reach r by more than rounding (a point or a centre within an ulp of a
-    # cell border may be filed in the next cell)
+    # the cells that can meet a ball centred in cell (0, 0), one run per column
+    # from its first kept row to its last: rings out to a one-cell margin, less
+    # those whose axis gaps of |d| - 1 cells already reach r by more than
+    # rounding (a point or a centre within an ulp of a border may sit in the next cell)
     m = min(math.ceil(r / idx.cell) + 1, max(idx.nx, idx.ny))
     gap = np.maximum(np.abs(np.arange(-m, m + 1)) - 1, 0) * idx.cell
-    di, dj = np.nonzero(np.hypot(gap[:, None], gap) < r * (1.0 + 1e-12) + idx.slack)
+    keep = np.hypot(gap[:, None], gap) < r * (1.0 + 1e-12) + idx.slack
+    di = np.flatnonzero(keep.any(axis=1))
+    lo, hi = keep[di].argmax(axis=1), 2 * m + 1 - keep[di, ::-1].argmax(axis=1)
     # a centre whose cell is more than m cells from the box gathers nothing
     ilo, ihi, jlo, jhi = idx.box
     near = (ci >= ilo - m) & (ci <= ihi + m) & (cj >= jlo - m) & (cj <= jhi + m)
     cx, cy, ci, cj = cx[near], cy[near], ci[near], cj[near]
     counts = np.zeros(len(cx), dtype=np.int64)
-    for ids, c in _gather_around(idx, ci, cj, di - m, dj - m):
+    for ids, c in _gather_around(idx, ci, cj, di - m, lo - m, hi - m):
         d2 = (ps.xs[ids] - cx[c]) ** 2 + (ps.ys[ids] - cy[c]) ** 2
         counts += np.bincount(c[d2 < r * r], minlength=len(cx))
     return int(counts.max(initial=0))
 
 
 def r_min(ps: PointSet) -> float:
-    """Exact minimal pairwise distance, via widening grid neighborhoods."""
+    """Exact minimal pairwise distance, via widening grid neighbourhoods.
+
+    Each pair is read once: a point in cell ``(i, j)`` reads the rest of its
+    column from its CSR position + 1 up to row ``j + reach``, then rows ``j -
+    reach`` to ``j + reach`` of each of the ``reach`` columns to its right.
+    A chunk of points reads at most ``max(len(ps), _PASS_CELLS)`` cells a
+    column offset."""
     if len(ps) < 2:
         raise TooFewPoints("r_min needs at least two points")
     idx = ps.index
+    ilo, ihi, jlo, jhi = idx.box
     # every point, in CSR order, with the cell it sits in
     pts = idx.order
     ci, cj = np.divmod(np.repeat(np.arange(idx.nx * idx.ny), np.diff(idx.starts)), idx.ny)
     reach = 1
     while True:
         best2 = math.inf
-        # forward half-neighborhood so each pair is seen once
-        offsets = [(0, dj) for dj in range(0, reach + 1)]
-        offsets += [(di, dj) for di in range(1, reach + 1) for dj in range(-reach, reach + 1)]
-        for di, dj in offsets:
-            ii = ci + di
-            jj = cj + dj
-            ok = (ii < idx.nx) & (jj >= 0) & (jj < idx.ny)
-            ids, own = idx.gather(ii[ok] * idx.ny + jj[ok], pts[ok])
-            if di == 0 and dj == 0:
-                later = ids > own
-                ids, own = ids[later], own[later]
-            if len(ids):
-                dx = ps.xs[own] - ps.xs[ids]
-                dy = ps.ys[own] - ps.ys[ids]
-                best2 = min(best2, float((dx * dx + dy * dy).min()))
+        step = max(max(len(pts), _PASS_CELLS) // (2 * reach + 1), 1)
+        for a in range(0, len(pts), step):
+            own, i, j = pts[a:a + step], ci[a:a + step], cj[a:a + step]
+            for di in range(reach + 1):
+                if di == 0:
+                    q = np.arange(a + 1, a + 1 + len(own))
+                    cnt = idx.starts[i * idx.ny + np.minimum(j + reach, jhi) + 1] - q
+                    ids, o = pts[_ranges(q, cnt)], np.repeat(own, cnt)
+                else:
+                    ok = i + di <= ihi
+                    ids, o = idx.runs(i[ok] + di, np.maximum(j[ok] - reach, jlo),
+                                      np.minimum(j[ok] + reach, jhi) + 1, own[ok])
+                dx = ps.xs[o] - ps.xs[ids]
+                dy = ps.ys[o] - ps.ys[ids]
+                best2 = min(best2, float((dx * dx + dy * dy).min(initial=math.inf)))
         best = math.sqrt(best2)
         if best <= reach * idx.cell or reach >= max(idx.nx, idx.ny):
             return best

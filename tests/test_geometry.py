@@ -7,7 +7,7 @@ import pytest
 from geonav import (CrossParams, DegeneratePair, DensitySpec, PointSet, Rect,
                     constants, nearest_in_sector)
 from geonav.geometry import (corner_point, gamma_path, hausdorff_distance,
-                             norm_angle, sector_index, sector_of_angle)
+                             norm_angle, sample_polyline, sector_index, sector_of_angle)
 from geonav.limits import _legs
 
 DEG = math.pi / 180.0
@@ -288,6 +288,34 @@ def test_hausdorff_apex_example():
     got = hausdorff_distance(a, b, 1e-3)
     assert fine == pytest.approx(0.1, abs=1e-4)
     assert got == pytest.approx(0.1, abs=1e-3)
+
+
+def two_pass_hausdorff(poly_a, poly_b, resolution):
+    """The reference: each directed max-min from its own blocks of 512 rows."""
+    a = sample_polyline(poly_a, resolution)
+    b = sample_polyline(poly_b, resolution)
+
+    def directed(p, q):
+        worst = 0.0
+        for lo in range(0, len(p), 512):
+            blk = p[lo:lo + 512]
+            d2 = (blk[:, None, 0] - q[None, :, 0]) ** 2 + (blk[:, None, 1] - q[None, :, 1]) ** 2
+            worst = max(worst, float(np.sqrt(d2.min(axis=1)).max()))
+        return worst
+
+    return max(directed(a, b), directed(b, a))
+
+
+def test_hausdorff_one_pass_equals_two_directed_passes():
+    # up to about 1400 samples a polyline, so both sides cross a block
+    # boundary; single vertices and repeated vertices included
+    rng = np.random.default_rng(41)
+    cases = [([0.2 + 0.2j], [0.7 + 0.1j, 0.7 + 0.1j, 0.3 + 0.9j], 0.01)]
+    for _ in range(60):
+        a, b = ([complex(*p) for p in rng.random((int(rng.integers(1, 4)), 2))] for _ in "ab")
+        cases.append((a, b, float(rng.choice([3e-3, 1e-2, 0.1]))))
+    for a, b, res in cases:
+        assert hausdorff_distance(a, b, res) == two_pass_hausdorff(a, b, res)
 
 
 def test_as_point_rejects_non_finite():

@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ def test_index_partitions_ids():
     ps = sample_ppp(UNIT, 3000, seed=7)
 
     def ids_in_cell(i, j):
-        return ps.index.gather(np.array([i * ps.index.ny + j]))
+        return ps.index.runs(np.array([i]), np.array([j]), np.array([j + 1]))
 
     seen = []
     for i in range(ps.index.nx):
@@ -200,6 +201,58 @@ def test_index_partitions_ids():
         for j in range(0, ps.index.ny, 7):
             for pid in ids_in_cell(i, j):
                 assert ps.index.cell_of(ps.xs[pid], ps.ys[pid]) == (i, j)
+
+
+def reference_runs(ps, i0, j0, di, lo, hi):
+    """The sorted ``(id, apex)`` pairs of the runs ``(di, lo, hi)`` around
+    each apex cell, read one cell at a time from the points' own cells."""
+    ci, cj = ps.index.cells_of(ps.xs, ps.ys)
+    by_cell = {}
+    for pid, cell in enumerate(zip(ci.tolist(), cj.tolist())):
+        by_cell.setdefault(cell, []).append(pid)
+    pairs = []
+    for a, (i, j) in enumerate(zip(i0.tolist(), j0.tolist())):
+        for d, l, h in zip(di.tolist(), lo.tolist(), hi.tolist()):
+            for row in range(j + l, j + h):
+                pairs += [(pid, a) for pid in by_cell.get((i + d, row), [])]
+    return sorted(pairs)
+
+
+@settings(max_examples=150)
+@given(pts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=60),
+       scale=st.sampled_from([1.0, 0.1]),
+       rate=st.sampled_from([1, 100, 10_000]),
+       apexes=st.lists(st.tuples(st.floats(-0.3, 1.3), st.floats(-0.3, 1.3)), max_size=5),
+       runs=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 9)),
+                     min_size=1, max_size=8),
+       cap=st.sampled_from([1, 3, 16, 1 << 14]))
+def test_gather_around_matches_cell_by_cell_reads(pts, scale, rate, apexes, runs, cap):
+    """Runs read the ids a cell-by-cell read finds, each once, on dense
+    (rate 1: one cell), sparse, corner (scale 0.1) and empty sets.  Apex
+    cells lie on and off the grid, at its edges and at the box's corners;
+    runs are empty (length 0), clipped, or longer than a pass.  Every run
+    handed to the reader lies in the box, and a pass reads at most ``cap``
+    cells or one longer run."""
+    ps = PointSet(scale * np.array(pts, dtype=float).reshape(-1, 2), UNIT, 0, ("iid", rate))
+    idx = ps.index
+    ilo, ihi, jlo, jhi = idx.box
+    cells = [(int(math.floor(x * idx.nx)), int(math.floor(y * idx.ny))) for x, y in apexes]
+    cells += [(0, 0), (idx.nx - 1, idx.ny - 1), (ilo, jlo), (ihi, jhi)]
+    i0, j0 = (np.array(c, dtype=np.int64) for c in zip(*cells))
+    di, lo, length = (np.array(c, dtype=np.int64) for c in zip(*runs))
+    hi = lo + length
+    reads = []
+    runs_of = idx.runs
+    idx.runs = lambda cols, lo, end, owners=None: (reads.append((cols, lo, end))
+                                                   or runs_of(cols, lo, end, owners))
+    with mock.patch.object(points, "_PASS_CELLS", cap):
+        passes = list(points._gather_around(idx, i0, j0, di, lo, hi))
+    got = sorted((int(pid), int(a)) for ids, apex in passes for pid, a in zip(ids, apex))
+    assert got == reference_runs(ps, i0, j0, di, lo, hi)
+    for cols, rlo, end in reads:
+        assert ((cols >= ilo) & (cols <= ihi)).all()
+        assert ((jlo <= rlo) & (rlo < end) & (end <= jhi + 1)).all()
+        assert (end - rlo).sum() <= max(cap, int(length.max()))
 
 
 # -- sector queries ---------------------------------------------------------------
@@ -803,11 +856,13 @@ def test_navmax_matches_brute_force(theta):
 
 
 def test_navmax_small_blocks_and_passes_match_brute_force(monkeypatch):
-    # which apexes share a block or a ring pass changes no radius
+    # which apexes share a block or a ring pass changes no radius; at a cap
+    # of 1 a pass reads one run for one apex
     monkeypatch.setattr(points, "_NAVMAX_BLOCK", 7)
-    monkeypatch.setattr(points, "_PASS_CELLS", 50)
     ps = sample_ppp(BUMP, 150, seed=32)
-    assert navmax(ps, math.pi / 2, 0.07) == brute_navmax(ps, math.pi / 2, 0.07)
+    for cap in (50, 1):
+        monkeypatch.setattr(points, "_PASS_CELLS", cap)
+        assert navmax(ps, math.pi / 2, 0.07) == brute_navmax(ps, math.pi / 2, 0.07)
 
 
 @settings(max_examples=60)
@@ -898,9 +953,13 @@ CORNER = PointSet(0.15 * np.random.default_rng(34).random((200, 2)), UNIT, 0, ("
     (sample_ppp(UNIT, 500, seed=23), 0.02, 0.03, None),
     # passes smaller than one centre's cells (45 and 405)
     (sample_ppp(UNIT, 500, seed=21), 0.11, 0.05, 7),
-    (CORNER, 0.01, 0.1, 50)],
+    (CORNER, 0.01, 0.1, 50),
+    # one run for one centre a pass
+    (sample_ppp(UNIT, 500, seed=21), 0.11, 0.05, 1),
+    (CORNER, 0.05, 0.05, 1)],
     ids=["ppp", "border-1-cell", "border-2-cells", "border-3-cells", "offset-border", "crowded",
-         "corner-0.01", "corner-0.05", "below-a-cell", "tiny-passes", "tiny-passes-corner"])
+         "corner-0.01", "corner-0.05", "below-a-cell", "tiny-passes", "tiny-passes-corner",
+         "one-run-passes", "one-run-passes-corner"])
 def test_maxball_matches_direct_count(monkeypatch, ps, r, step, cap):
     if cap is not None:
         monkeypatch.setattr(points, "_PASS_CELLS", cap)
@@ -915,7 +974,7 @@ def test_maxball_skips_centres_far_from_every_point(monkeypatch):
     seen = []
     gather = points._gather_around
     monkeypatch.setattr(points, "_gather_around",
-                        lambda idx, i0, j0, di, dj: seen.append(i0) or gather(idx, i0, j0, di, dj))
+                        lambda idx, i0, j0, *runs: seen.append(i0) or gather(idx, i0, j0, *runs))
     opposite = PointSet(1.0 - CORNER.points, UNIT, 0, ("iid", 1e6))
     for ps, r in ((CORNER, 0.05), (opposite, 0.049)):
         seen.clear()
@@ -986,6 +1045,28 @@ def test_r_min_sparse_widens_reach():
     rng = np.random.default_rng(24)
     ps = PointSet(rng.random((25, 2)), UNIT, 0, ("iid", 10_000))
     assert ps.index.cell == 0.01 and brute_r_min(ps) > 0.03
+    assert r_min(ps) == brute_r_min(ps)
+
+
+@pytest.mark.parametrize("layout", ["one-cell", "one-column", "tied-pairs"])
+def test_r_min_cell_layouts_match_brute_force(layout):
+    rng = np.random.default_rng(36)
+    if layout == "one-cell":
+        # a cell of 1: a point's later ids are the rest of the one cell, whose
+        # ids ascend but whose points are not in x order
+        ps = PointSet(rng.random((40, 2)), UNIT, 0, ("iid", 1))
+        assert ps.index.nx == ps.index.ny == 1 and (np.diff(ps.xs) < 0).any()
+    elif layout == "one-column":
+        # cells of 0.1 and every point in one column of them, about six a cell
+        pts = np.column_stack([0.42 + 0.07 * rng.random(60), rng.random(60)])
+        ps = PointSet(pts, UNIT, 0, ("iid", 100))
+        assert ps.index.cell == 0.1 and len(set(ps.index.cells_of(ps.xs, ps.ys)[0])) == 1
+    else:
+        # a dyadic lattice 1/16 apart in cells of 0.1: exact ties inside
+        # cells, up a column and across columns
+        pts = [(i / 16, j / 16) for i in range(17) for j in range(17)]
+        ps = PointSet(np.array(pts), UNIT, 0, ("iid", 100))
+        assert brute_r_min(ps) == 1 / 16
     assert r_min(ps) == brute_r_min(ps)
 
 
