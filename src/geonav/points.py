@@ -17,8 +17,9 @@ The diagnostics read column runs through one reader, ``GridIndex.runs``.
 ``navmax`` and ``maxball`` share one lattice of the inset domain and one
 kernel, ``_gather_around``, which reads runs at given offsets around each
 lattice point: ``navmax`` moves each block of ``_NAVMAX_BLOCK`` apexes ring
-by ring in lockstep, and ``maxball`` reads one run per column of the cells
-that can meet a ball, for every centre at once.  ``r_min`` pairs every
+by ring in lockstep until no later ring can lower a radius or reach an
+empty aim (``_aim_reach``), and ``maxball`` reads one run per column of the
+cells that can meet a ball, for every centre at once.  ``r_min`` pairs every
 point with its forward half-neighbourhood, read as column runs.
 """
 
@@ -263,6 +264,8 @@ _PASS_CELLS = 1 << 14
 # navmax walks its lattice in blocks of _NAVMAX_BLOCK apexes (blocks of 128
 # to 512 measured faster than whole lattices of 1000 apexes and more)
 _NAVMAX_BLOCK = 512
+# an aim's reach widens its sector far past the catch rule's rounding (rad)
+_AIM_DELTA = 1e-9
 
 
 def _sector_scan(ps: PointSet, apex: complex, nu: float, half: float,
@@ -471,7 +474,8 @@ def navmax(ps: PointSet, theta: float, grid_step: float, directions: int = 64) -
 
     A lattice lower bound of the true continuum sup; reported as a
     diagnostic, not a certified bound.  ``theta`` must lie in (0, 2*pi] and
-    ``grid_step`` must be finite and > 0.
+    ``grid_step`` must be finite and > 0.  An aim that catches no point is
+    left out; its apex stops at the aim's reach (``_sector_radii``).
     """
     if not 0.0 < theta <= 2.0 * math.pi:
         raise ValueError(f"theta must be in (0, 2*pi], got {theta!r}")
@@ -529,11 +533,12 @@ def _sector_radii(ps: PointSet, ax: np.ndarray, ay: np.ndarray, i0: np.ndarray,
 
     The apexes read the square rings of cells around their own cells in
     lockstep: ring ``k`` for every active apex (through ``_gather_around``)
-    before ring ``k + 1``.  An apex retires before ring ``k`` once every aim
-    bin holds a point and ``(k - 1) * cell`` is at least its largest bin
-    radius: no point of ring ``k`` or beyond is nearer.  An apex with an
-    empty aim retires after its last ring that meets the box of cells that
-    hold a point.  Which apexes share a block or a pass changes no radius.
+    before ring ``k + 1``.  No point of ring ``k`` or beyond is nearer than
+    ``(k - 1) * cell``: an apex retires before ring ``k`` once that is at least
+    each aim's radius or, for an empty aim, its reach, and after its last
+    ring that meets the box.  The reach is computed once a block, for its
+    tail: when an apex has retired and every active one has found a point
+    and is held by empty aims alone.  Blocks and passes change no radius.
     """
     idx = ps.index
     bin_w = 2.0 * math.pi / nbins
@@ -543,12 +548,25 @@ def _sector_radii(ps: PointSet, ax: np.ndarray, ay: np.ndarray, i0: np.ndarray,
     turns = np.full((len(ax), 2 * nbins), np.inf)
     flat = turns.reshape(-1)
     active = np.arange(len(ax))
+    tail = None                       # the apexes whose empty aims have a reach
     ilo, ihi, jlo, jhi = idx.box      # no ring past ``last`` meets the box
     last = np.maximum(np.maximum(i0 - ilo, ihi - i0), np.maximum(j0 - jlo, jhi - j0))
     for k in range(int(last.max()) + 1):
-        # an empty bin makes the largest radius inf, which keeps the apex
-        worst = np.minimum(turns[active, :nbins], turns[active, nbins:]).max(axis=1)
-        active = active[((k - 1) * idx.cell < worst) & (k <= last[active])]
+        radii = np.minimum(turns[active, :nbins], turns[active, nbins:])
+        if tail is not None:
+            radii = np.where(radii < np.inf, radii, reach[np.searchsorted(tail, active)])
+        # an empty aim without a reach makes the largest radius inf
+        hold, settled = radii.max(axis=1), (k - 1) * idx.cell
+        keep = (settled < hold) & (k <= last[active])
+        if tail is None and 0 < keep.sum() < len(ax) and (hold[keep] == np.inf).all():
+            held = radii[keep]
+            if ((held <= settled) | (held == np.inf)).all() and (held < np.inf).any(axis=1).all():
+                tail, (row, aim) = active[keep], np.nonzero(held == np.inf)
+                reach = np.full(held.shape, -np.inf)
+                reach[row, aim] = _aim_reach(idx, ax[tail[row]], ay[tail[row]], aim * bin_w, half)
+                keep[keep] = settled < reach.max(axis=1)
+        active = active[keep]
+        del radii, hold                 # not held through the ring's gather
         if not len(active):
             break
         for ids, owner in _gather_around(idx, i0[active], j0[active], *_ring_runs(k)):
@@ -564,12 +582,31 @@ def _sector_radii(ps: PointSet, ax: np.ndarray, ay: np.ndarray, i0: np.ndarray,
             lo = np.ceil(ctr - width).astype(np.int64)
             cnt = np.floor(ctr + width).astype(np.int64) - lo + 1
             first = owner * (2 * nbins) + lo % nbins
-            # one update array per bin count (at most three counts occur)
-            for c in range(int(cnt.min()), int(cnt.max()) + 1):
-                sel = cnt == c
-                np.minimum.at(flat, (first[sel, None] + np.arange(c)).ravel(),
-                              np.repeat(r[sel], c))
+            np.minimum.at(flat, _ranges(first, cnt), np.repeat(r, cnt))
     return np.minimum(turns[:, :nbins], turns[:, nbins:])
+
+
+def _aim_reach(idx: GridIndex, ax: np.ndarray, ay: np.ndarray, aims: np.ndarray, half: float):
+    """Per apex ``(ax[p], ay[p])`` and aim angle ``aims[p]``: a bound on the
+    distance of every point of the box that the aim catches, for any ``half``
+    in (0, pi]: the farthest vertex (a box corner within ``half + 2 *
+    _AIM_DELTA`` of it, or a border ray's exit) of the sector ``aim +- (half +
+    _AIM_DELTA)`` cut to the box widened by ``slack``, plus ``slack``."""
+    ilo, ihi, jlo, jhi = idx.box
+    x0, y0, cell, slack = idx.rect.x0, idx.rect.y0, idx.cell, idx.slack
+    xs = np.stack([x0 + ilo * cell - slack - ax, x0 + (ihi + 1) * cell + slack - ax])
+    ys = np.stack([y0 + jlo * cell - slack - ay, y0 + (jhi + 1) * cell + slack - ay])
+    cx, cy = xs[[0, 1, 0, 1]], ys[[0, 0, 1, 1]]
+    off = np.abs(np.remainder(np.arctan2(cy, cx) - aims + math.pi, 2.0 * math.pi) - math.pi)
+    far = np.where(off <= half + 2.0 * _AIM_DELTA, np.hypot(cx, cy), 0.0).max(axis=0)
+    for phi in (aims - half - _AIM_DELTA, aims + half + _AIM_DELTA):
+        # slab test (an exit behind the apex is < 0); a zero step turns 1e-200 rad
+        c, s = np.cos(phi), np.sin(phi)
+        tx, ty = xs / np.where(c == 0.0, 1e-200, c), ys / np.where(s == 0.0, 1e-200, s)
+        t_in = np.maximum(tx.min(axis=0), ty.min(axis=0))
+        t_out = np.minimum(tx.max(axis=0), ty.max(axis=0))
+        far = np.maximum(far, np.where(t_in <= t_out, t_out, 0.0))
+    return far + slack
 
 
 def _ring_runs(k: int):
@@ -593,21 +630,24 @@ def maxball(ps: PointSet, r: float, grid_step: float) -> int:
         return 0
     idx = ps.index
     cx, cy, ci, cj = _lattice(ps, grid_step)
-    # the cells that can meet a ball centred in cell (0, 0), one run per column
-    # from its first kept row to its last: rings out to a one-cell margin, less
-    # those whose axis gaps of |d| - 1 cells already reach r by more than
-    # rounding (a point or a centre within an ulp of a border may sit in the next cell)
+    # the cells that can meet a ball centred in cell (0, 0): rings out to a
+    # one-cell margin, less those whose axis gaps of |d| - 1 cells already reach
+    # r by more than rounding (a point or a centre within an ulp of a border may
+    # sit in the next cell).  Gaps grow with |d|: column d keeps rows |e| < cnt[|d|]
     m = min(math.ceil(r / idx.cell) + 1, max(idx.nx, idx.ny))
-    gap = np.maximum(np.abs(np.arange(-m, m + 1)) - 1, 0) * idx.cell
-    keep = np.hypot(gap[:, None], gap) < r * (1.0 + 1e-12) + idx.slack
-    di = np.flatnonzero(keep.any(axis=1))
-    lo, hi = keep[di].argmax(axis=1), 2 * m + 1 - keep[di, ::-1].argmax(axis=1)
+    gap = np.maximum(np.arange(m + 1) - 1, 0) * idx.cell
+    cnt, top = np.zeros(m + 1, dtype=np.int64), np.full(m + 1, m + 1)
+    while (cnt < top).any():
+        mid = (cnt + top) // 2
+        ok = np.hypot(gap, gap[np.minimum(mid, m)]) < r * (1.0 + 1e-12) + idx.slack
+        cnt, top = np.where(ok & (cnt < top), mid + 1, cnt), np.where(ok, top, mid)
+    di = np.arange(1 - np.count_nonzero(cnt), np.count_nonzero(cnt))
     # a centre whose cell is more than m cells from the box gathers nothing
     ilo, ihi, jlo, jhi = idx.box
     near = (ci >= ilo - m) & (ci <= ihi + m) & (cj >= jlo - m) & (cj <= jhi + m)
     cx, cy, ci, cj = cx[near], cy[near], ci[near], cj[near]
     counts = np.zeros(len(cx), dtype=np.int64)
-    for ids, c in _gather_around(idx, ci, cj, di - m, lo - m, hi - m):
+    for ids, c in _gather_around(idx, ci, cj, di, 1 - cnt[np.abs(di)], cnt[np.abs(di)]):
         d2 = (ps.xs[ids] - cx[c]) ** 2 + (ps.ys[ids] - cy[c]) ** 2
         counts += np.bincount(c[d2 < r * r], minlength=len(cx))
     return int(counts.max(initial=0))

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geonav import (DensitySpec, EmptyPointSet, NavSpec, PointSet, Rect, TooFewPoints,
@@ -844,7 +844,7 @@ def test_navmax_matches_brute_force(theta):
     # stop rule reads; a stop one ring earlier returns a larger radius
     tight = sample_ppp(BUMP, 150, seed=58)
     # points in one corner only: the aims away from it stay empty, so their
-    # apexes read every ring out to the block's last
+    # apexes retire at those aims' reach, or after the block's last ring
     corner = make_set(0.15 * np.random.default_rng(33).random((30, 2)))
     # 23 x 23 apexes: the lattice is no whole number of blocks, and the first
     # block ends inside a column
@@ -865,17 +865,169 @@ def test_navmax_small_blocks_and_passes_match_brute_force(monkeypatch):
         assert navmax(ps, math.pi / 2, 0.07) == brute_navmax(ps, math.pi / 2, 0.07)
 
 
-@settings(max_examples=60)
+# a whole turn, and angles down to the smallest float above 0
+THETAS = st.one_of(st.just(2 * math.pi), st.floats(0.0, 2 * math.pi, exclude_min=True))
+
+
+def carve(pts, how, side, width):
+    """``pts`` less a square of side ``width`` at corner ``side`` of the unit
+    square (``how`` "corner"), or less a strip of that width along side
+    ``side`` (``how`` "strip"), which empties the inset's edge when
+    ``width`` is at least the inset, 0.05."""
+    x, y = pts[:, 0], pts[:, 1]
+    near = (x if side % 2 == 0 else 1.0 - x) < width, (y if side < 2 else 1.0 - y) < width
+    if how == "corner":
+        return pts[~(near[0] & near[1])]
+    if how == "strip":
+        return pts[~near[side % 2]]
+    return pts
+
+
+@settings(max_examples=80)
 @given(pts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1,
                     max_size=40),
        rate=st.sampled_from([1, 100, 10_000]),
        density=st.sampled_from([UNIT, BUMP]),
        step=st.floats(0.05, 0.2),
-       theta=st.sampled_from([math.pi / 3, math.pi / 2, math.pi]))
-def test_navmax_property(pts, rate, density, step, theta):
-    # the cell is sized for ``rate`` points, so sets are dense or sparse
-    ps = PointSet(np.array(pts, dtype=float).reshape(-1, 2), density, 0, ("iid", rate))
+       theta=THETAS,
+       how=st.sampled_from(["none", "corner", "strip"]),
+       side=st.integers(0, 3),
+       width=st.floats(0.05, 0.6))
+def test_navmax_property(pts, rate, density, step, theta, how, side, width):
+    # the cell is sized for ``rate`` points, so sets are dense or sparse; a
+    # carved corner or strip leaves aims that catch no point
+    kept = carve(np.array(pts, dtype=float).reshape(-1, 2), how, side, width)
+    assume(len(kept))
+    ps = PointSet(kept, density, 0, ("iid", rate))
     assert navmax(ps, theta, step) == brute_navmax(ps, theta, step)
+
+
+def catches(dx, dy, aim, half, directions=64):
+    """The aim bins' catch rule of navmax: bin ``aim`` catches an offset
+    whose angle, in bins, lies within ``half`` of it up to a whole turn."""
+    bin_w = 2.0 * math.pi / directions
+    ctr = np.arctan2(dy, dx) / bin_w
+    turns = aim + np.array([-directions, 0, directions])[:, None]
+    return ((np.ceil(ctr - half / bin_w) <= turns) & (turns <= np.floor(ctr + half / bin_w))
+            ).any(axis=0) & (np.hypot(dx, dy) > 0.0)
+
+
+@settings(max_examples=300)
+@given(pts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1,
+                    max_size=20),
+       rate=st.sampled_from([1, 100, 10_000]),
+       aim=st.one_of(st.sampled_from([0, 16, 32, 48]), st.integers(0, 63)),
+       theta=THETAS,
+       apex=st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
+       ray=st.tuples(st.sampled_from([-1, 1]), st.sampled_from([0.0, 0.01, 1.0, 1e3, 1e5, 1e6]),
+                     st.integers(-40, 40)),
+       seed=st.integers(0, 2 ** 16))
+# 1e5 out, 9.5e-12 off the border ray through the box's corner (0, 1): with
+# no widening of the angle the reach misses that corner
+@example(pts=[(0.5, 0.5)], rate=1, aim=13, theta=math.pi / 3, apex=(0.0, 0.0),
+         ray=(-1, 1e5, 19), seed=0)
+def test_aim_reach_bounds_every_caught_point(pts, rate, aim, theta, apex, ray, seed):
+    """No point of the box of cells that hold a point that the aim catches,
+    with offsets and angles as navmax computes them, lies beyond the reach.
+
+    The points tried are the box's corners, random points of the box and
+    the points where each border line of the sector meets each edge line,
+    moved by a few ulps along the edge.  The apex lies inside or outside
+    the box, or ``far`` out on a border ray through the box corner nearest
+    the sector, moved off the ray by ``nudge * far * 5e-18``, towards the
+    sector when positive, so that the box lies just outside it: 1e5 and
+    more out, the catch rule's rounding of the angle reaches farther from
+    the ray than the box's widening by ``idx.slack``, and only
+    ``_AIM_DELTA`` covers it."""
+    ps = PointSet(np.array(pts, dtype=float).reshape(-1, 2), UNIT, 0, ("iid", rate))
+    idx = ps.index
+    ilo, ihi, jlo, jhi = idx.box
+    xs = (idx.rect.x0 + ilo * idx.cell, idx.rect.x0 + (ihi + 1) * idx.cell)
+    ys = (idx.rect.y0 + jlo * idx.cell, idx.rect.y0 + (jhi + 1) * idx.cell)
+    half, bin_w = theta / 2.0, 2.0 * math.pi / 64
+    borders = (aim * bin_w - half, aim * bin_w + half)
+    side, far, nudge = ray
+    ax, ay = apex
+    if far:
+        # the normal of the border ray towards the sector
+        phi = borders[side > 0]
+        nx, ny = side * math.sin(phi), -side * math.cos(phi)
+        cx, cy = max(((x, y) for x in xs for y in ys), key=lambda c: c[0] * nx + c[1] * ny)
+        ax = cx - far * math.cos(phi) + nudge * far * 5e-18 * nx
+        ay = cy - far * math.sin(phi) + nudge * far * 5e-18 * ny
+    rng = np.random.default_rng(seed)
+    px = [xs[0], xs[1], xs[0], xs[1], *rng.uniform(*xs, 20)]
+    py = [ys[0], ys[0], ys[1], ys[1], *rng.uniform(*ys, 20)]
+    for phi in borders:
+        c, s = math.cos(phi), math.sin(phi)
+        for k in range(-4, 5):
+            if abs(s) > 1e-300:
+                for y in ys:
+                    px.append(min(max(ax + (y - ay) / s * c, xs[0]), xs[1]) * (1 + k * 2.2e-16))
+                    py.append(y)
+            if abs(c) > 1e-300:
+                for x in xs:
+                    px.append(x)
+                    py.append(min(max(ay + (x - ax) / c * s, ys[0]), ys[1]) * (1 + k * 2.2e-16))
+    px, py = np.clip(px, *xs), np.clip(py, *ys)
+    dx, dy = px - ax, py - ay
+    reach = points._aim_reach(idx, np.array([ax]), np.array([ay]), np.array([aim * bin_w]), half)
+    caught = catches(dx, dy, aim, half)
+    assert (np.hypot(dx, dy)[caught] <= reach[0]).all()
+
+
+def strip_set():
+    """2500 uniform points on the unit square less those of the strip x <
+    0.05 (the inset's edge), 0.4 < y < 0.6; cells of 0.02."""
+    pts = np.random.default_rng(5).random((2500, 2))
+    ps = PointSet(pts[(pts[:, 0] >= 0.05) | (np.abs(pts[:, 1] - 0.5) >= 0.1)], UNIT, 0,
+                  ("iid", 2500))
+    assert ps.index.cell == 0.02 and ps.index.box == (0, 49, 0, 49)
+    return ps
+
+
+def test_navmax_retires_apexes_held_by_empty_aims(monkeypatch):
+    """On the inset's edge next to the empty strip, the aims out of the
+    domain catch no point.  Their apexes retire at the reach of those aims,
+    once their other radii are settled, not after ring 47, the last that
+    meets the box (48 ring passes): at most 20 ring passes a navmax."""
+    ps = strip_set()
+    passes, reaches = [], []
+    gather, aim_reach = points._gather_around, points._aim_reach
+    monkeypatch.setattr(points, "_gather_around",
+                        lambda *args: passes.append(None) or gather(*args))
+    monkeypatch.setattr(points, "_aim_reach",
+                        lambda idx, ax, *args: reaches.append(ax) or aim_reach(idx, ax, *args))
+    for theta in (math.pi / 3, math.pi / 2):
+        passes.clear()
+        reaches.clear()
+        assert navmax(ps, theta, 0.1) == brute_navmax(ps, theta, 0.1)
+        assert len(passes) <= 20
+        # the one block's tail holds apexes on the strip's edge
+        (ax,) = reaches
+        assert 0.05 in ax
+
+
+def test_aim_reach_waits_for_every_apex_to_find_a_point(monkeypatch):
+    """The reach is computed once a block, for apexes that have found a
+    point: an apex whose aims all stay empty keeps the others waiting.  At
+    theta 0.02 an aim catches only the points within 0.01 rad of it, so
+    about half the apexes of this set find none."""
+    pts = np.random.default_rng(36).random((3, 2))
+    ps = PointSet(pts, UNIT, 0, ("iid", 100))
+    theta, step = 0.02, 0.1
+    calls = []
+    aim_reach = points._aim_reach
+    monkeypatch.setattr(points, "_NAVMAX_BLOCK", 9)
+    monkeypatch.setattr(points, "_aim_reach",
+                        lambda idx, ax, ay, *args: calls.append((ax, ay))
+                        or aim_reach(idx, ax, ay, *args))
+    assert navmax(ps, theta, step) == brute_navmax(ps, theta, step)
+    blocks = math.ceil(len(points._lattice(ps, step)[0]) / 9)
+    assert 0 < len(calls) <= blocks
+    for ax, ay in calls:
+        for x, y in set(zip(ax.tolist(), ay.tolist())):
+            assert any(catches(ps.xs - x, ps.ys - y, aim, theta / 2).any() for aim in range(64))
 
 
 def test_navmax_maxball_argument_ranges():
@@ -964,6 +1116,41 @@ def test_maxball_matches_direct_count(monkeypatch, ps, r, step, cap):
     if cap is not None:
         monkeypatch.setattr(points, "_PASS_CELLS", cap)
     assert maxball(ps, r, step) == direct_maxball(ps, r, step)
+
+
+def whole_stencil(idx, r):
+    """maxball's runs from the whole ``(2m+1)^2`` stencil of gap hypots:
+    one run per column from its first kept row to its last."""
+    m = min(math.ceil(r / idx.cell) + 1, max(idx.nx, idx.ny))
+    gap = np.maximum(np.abs(np.arange(-m, m + 1)) - 1, 0) * idx.cell
+    keep = np.hypot(gap[:, None], gap) < r * (1.0 + 1e-12) + idx.slack
+    di = np.flatnonzero(keep.any(axis=1))
+    lo, hi = keep[di].argmax(axis=1), 2 * m + 1 - keep[di, ::-1].argmax(axis=1)
+    return di - m, lo - m, hi - m
+
+
+@pytest.mark.parametrize("ps", [CORNER, offset_border_set(), sample_ppp(UNIT, 100, seed=21)],
+                         ids=["cells-0.001", "offset-cells-0.01", "cells-0.1"])
+def test_maxball_runs_match_the_whole_stencil(monkeypatch, ps):
+    """The bisection over the gaps keeps the rows the whole stencil keeps,
+    for r/cell from 0.01 to 300, on whole numbers of cells and on the
+    hypots of Pythagorean gaps (ties with r up to rounding), one ulp to
+    each side of them too.  On 10 x 10 cells, m is clipped at 10 once r/cell
+    exceeds 9, and on the offset domain's 100 x 100 cells once it exceeds 99;
+    on 1000 x 1000 cells it reaches 301 unclipped."""
+    idx = ps.index
+    seen = []
+    monkeypatch.setattr(points, "_gather_around", lambda idx, i0, j0, *runs: seen.append(runs)
+                        or iter(()))
+    ratios = [*np.geomspace(0.01, 300, 40), *range(1, 12), 5 * math.sqrt(2), 99.5, 300]
+    ratios += [math.hypot(a, b) for a, b in ((3, 4), (5, 12), (8, 15), (7, 24), (20, 21))]
+    for q in ratios:
+        for r in (q * idx.cell, np.nextafter(q * idx.cell, 0.0), np.nextafter(q * idx.cell, 1e9)):
+            seen.clear()
+            maxball(ps, r, 0.5)
+            (runs,) = seen
+            for got, want in zip(runs, whole_stencil(idx, r)):
+                np.testing.assert_array_equal(got, want)
 
 
 def test_maxball_skips_centres_far_from_every_point(monkeypatch):
