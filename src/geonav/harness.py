@@ -21,6 +21,7 @@ import numpy as np
 from .density import DensitySpec, Rect
 from .errors import ConfigError, EmptyInput, NoValidPairs, OutOfRangeTheta, StepOutOfDomain
 from .geometry import CrossParams, as_point, gamma_path, hausdorff_distance
+# bench/tracing.py wraps harness.predict_cost by name, so the import stays
 from .limits import (_check_step_budget, _legs, check_theta, default_step, hop_moment,
                      limit_path_in_inset, predict_cost, predict_cross, predict_straight)
 from .navigation import (CROSS_KINDS, DIRECTED_KINDS, NavKind, NavSpec,
@@ -223,15 +224,13 @@ def _predictions(config: ExperimentConfig, pairs):
     for s, t in pairs:
         if nav.kind in CROSS_KINDS:
             length, nb, curve = predict_cross(nav.kind, nav.p_theta, s, t, dens,
-                                              h=config.euler_h)
+                                              h=config.euler_h, exponents=exponents)
             poly = gamma_path(s, t, CrossParams(nav.p_theta))
         else:
             length, nb, curve = predict_straight(nav.kind, nav.theta, s, t, dens,
-                                                 h=config.euler_h)
+                                                 h=config.euler_h, exponents=exponents)
             poly = [s, t]
-        pc = dict(zip(exponents, predict_cost(nav.kind, nav.theta, exponents, s, t, dens,
-                                              h=config.euler_h, p_theta=nav.p_theta)))
-        preds.append((length, nb, curve, poly, pc))
+        preds.append((length, nb, curve, poly, dict(zip(exponents, curve.end_costs))))
     return preds
 
 

@@ -29,12 +29,17 @@ through the corner for cross kinds, each leg with its own ``(lam, q)``
 constants.  ``predict_straight`` and ``predict_cross`` share one body over
 those legs: the length is the sum of ``q * |leg|``, the stage count the sum
 of the legs' hitting times, and the curve the legs' Euler walks glued end to
-end.  ``predict_cost`` walks the same legs once for all exponents.
-``euler_solve`` and ``predict_cost`` step through one kernel (``_walk``),
-which records the density at each iterate and builds the position curve only
-for ``euler_solve``; each exponent's cost is folded from those densities
-after the walk, in the order an accumulator carried through the steps would
-add them, so it is the same float.
+end.  Given ``exponents``, each leg's curve walk also carries the coupled
+cost equation of every exponent, and the glued curve's ``end_costs`` adds
+the legs' costs in leg order; so a prediction walks each leg twice, once
+for its hitting time and once for the curve and the costs.
+``predict_cost`` is the no-curve path to the same costs: it walks the same
+legs once for all exponents.  ``euler_solve`` and ``predict_cost`` step
+through one kernel (``_walk``), which records the density at each iterate
+and builds the position curve only for ``euler_solve``; each exponent's cost
+is folded from those densities after the walk, in the order an accumulator
+carried through the steps would add them, so it is the same float on both
+paths.
 """
 
 from __future__ import annotations
@@ -342,7 +347,9 @@ class LimitCurve:
     times: np.ndarray
     positions: np.ndarray        # (m, 2)
     hit_time: float              # time at which the curve reaches its target
-    end_costs: tuple = ()        # accumulated cost per exponent of the spec
+    # each exponent's cost, folded from the curve's own walk (a glued curve
+    # adds its legs' costs in leg order)
+    end_costs: tuple = ()
 
     def position_at(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -576,34 +583,51 @@ def _leg_spec(leg, density: DensitySpec, h: float, **cost) -> OdeSpec:
     return OdeSpec(lam, math.atan2((b - a).imag, (b - a).real), a, density, h, **cost)
 
 
-def _predict_path(legs, s, density: DensitySpec, h: float | None):
+def _predict_path(kind, angle: float, legs, s, density: DensitySpec, h: float | None,
+                  exponents):
+    """Length, stage count and curve over ``legs``; the curve's ``end_costs``
+    holds one cost per exponent, at the rates ``hop_moment(kind, angle, g)``."""
+    exponents = tuple(float(g) for g in exponents)
     if not legs:
-        return 0.0, 0.0, _point_curve(as_point(s))
+        return 0.0, 0.0, _point_curve(as_point(s), (0.0,) * len(exponents))
     h = h if h is not None else default_step(density)
+    qs = tuple(hop_moment(kind, angle, g) for g in exponents)
     length = sum(q * abs(b - a) for a, b, _, q in legs)
     nb = sum(hit_time(lam, a, b, density, h) for a, b, lam, _ in legs)
-    curves = [euler_solve(_leg_spec(leg, density, h), leg[1]) for leg in legs]
+    curves = [euler_solve(_leg_spec(leg, density, h, cost_q=qs, cost_g=exponents), leg[1])
+              for leg in legs]
     return length, nb, _glue(curves)
 
 
 def predict_straight(kind, theta: float, s, t, density: DensitySpec,
-                     h: float | None = None):
+                     h: float | None = None, exponents=()):
     """Limit length, stage count over sqrt(n), and position curve for the
     kinds whose limit trajectory is the segment [s, t] (straight and
-    random-north kinds)."""
+    random-north kinds).
+
+    The curve's ``end_costs`` holds the limiting cost of each exponent in
+    ``exponents``, folded from the curve's own walk; it equals
+    ``predict_cost(kind, theta, exponents, s, t, density, h)``."""
     if NavKind(kind) in (NavKind.YAO, NavKind.THETA):
         raise ValueError("cross kinds use predict_cross")
-    return _predict_path(_legs(kind, theta, None, s, t, density), s, density, h)
+    return _predict_path(kind, theta, _legs(kind, theta, None, s, t, density), s, density,
+                         h, exponents)
 
 
 def predict_cross(kind, p_theta: int, s, t, density: DensitySpec,
-                  h: float | None = None):
+                  h: float | None = None, exponents=()):
     """Limit length, stage count over sqrt(n), and glued two-phase position
     curve for the cross kinds (first leg along the sector bisector, second
-    along the border direction through the corner)."""
+    along the border direction through the corner).
+
+    The curve's ``end_costs`` holds the limiting cost of each exponent in
+    ``exponents`` at the sector angle ``2*pi/p_theta``, folded from the legs'
+    own walks; it equals ``predict_cost(kind, None, exponents, s, t, density,
+    h, p_theta)``."""
     if NavKind(kind) not in (NavKind.YAO, NavKind.THETA):
         raise ValueError("predict_cross is only for cross kinds")
-    return _predict_path(_legs(kind, None, p_theta, s, t, density), s, density, h)
+    legs = _legs(kind, None, p_theta, s, t, density)
+    return _predict_path(kind, 2.0 * math.pi / p_theta, legs, s, density, h, exponents)
 
 
 def _glue(curves) -> LimitCurve:
@@ -613,7 +637,9 @@ def _glue(curves) -> LimitCurve:
     shift = a.times[-1]
     times = np.concatenate([a.times, shift + b.times[1:]])
     positions = np.vstack([a.positions, b.positions[1:]])
-    return LimitCurve(times, positions, shift + b.hit_time)
+    # the legs' costs add in leg order from 0.0, as predict_cost's fold does
+    costs = tuple(0.0 + ca + cb for ca, cb in zip(a.end_costs, b.end_costs))
+    return LimitCurve(times, positions, shift + b.hit_time, costs)
 
 
 def predict_cost(kind, theta: float, exponents, s, t, density: DensitySpec,

@@ -93,8 +93,13 @@ class GridIndex:
 
 
 def _ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
-    """``lo[0], ..., lo[0] + cnt[0] - 1, lo[1], ...`` as one array."""
-    return np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+    """``lo[0], ..., lo[0] + cnt[0] - 1, lo[1], ...`` as one array.
+
+    The offsets are repeated first and the count added in place, so no more
+    than two arrays of the output's length are held at once."""
+    out = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+    out += np.arange(len(out))
+    return out
 
 
 @dataclass(eq=False)

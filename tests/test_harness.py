@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geonav import (ConfigError, CrossParams, DensitySpec, EmptyInput, NavKind, NavSpec,
-                    NoValidPairs, Rect, gamma_path, harness)
+                    NoValidPairs, Rect, gamma_path, harness, limits)
 from geonav.geometry import sample_polyline
 from geonav.harness import (ExperimentConfig, ResultRow, _predictions,
                             generate_pairs, render_svg, run_experiment,
@@ -172,6 +172,31 @@ def test_run_experiment_predictions_constant_across_seeds():
             (r.pred_nb, r.pred_length, tuple(sorted(r.pred_costs.items()))))
     for preds in by_pair.values():
         assert len(preds) == 1
+
+
+@pytest.mark.parametrize("nav,legs", [
+    (NavSpec(kind=NavKind.STRAIGHT_THETA, theta=math.pi / 2), 1),
+    (NavSpec(kind=NavKind.THETA, p_theta=6), 2),
+])
+def test_predictions_walk_each_leg_twice(monkeypatch, nav, legs):
+    # hit_time for nb, and one Euler walk for the curve and every cost; the
+    # separate cost walk of predict_cost is never taken
+    walks, hits = [], []
+    walk, hit = limits._walk, limits.hit_time
+    monkeypatch.setattr(limits, "_walk", lambda *a, **k: walks.append(a) or walk(*a, **k))
+    monkeypatch.setattr(limits, "hit_time", lambda *a, **k: hits.append(a) or hit(*a, **k))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("predict_cost walked the legs again")
+
+    monkeypatch.setattr(harness, "predict_cost", refuse)
+    s, t = 0.2 + 0.3j, 0.7 + 0.6j
+    cfg = small_config(nav=nav, pairs=((s, t),), exponents=(0.0, 0.5, 1.0, 2.0))
+    assert len(limits._legs(nav.kind, nav.theta, nav.p_theta, s, t, UNIT)) == legs
+    ((_, _, curve, _, pred_costs),) = _predictions(cfg, generate_pairs(cfg))
+    assert len(walks) == legs and len(hits) == legs
+    assert pred_costs == dict(zip(cfg.exponents, curve.end_costs))
+    assert len(pred_costs) == 4
 
 
 def test_run_experiment_parallel_matches_serial(tmp_path):
@@ -340,6 +365,9 @@ def test_config_roundtrip_from_json(tmp_path):
 # SHA-256 of harness CSVs recorded before each limit prediction walked its
 # legs once for all exponents.  The CSV prints every simulated and predicted
 # number with repr, so any change to sampling, runs or the Euler walks shows.
+# "t-bump-exponents" (two-leg pairs, exponents off the closed forms) was
+# recorded while predict_cost still walked the legs apart from the curve,
+# before the curve walk folded the costs.
 
 AFFINE = DensitySpec.affine(1.0, 0.8, -0.3)
 BUMP = DensitySpec.radial_bump((0.5, 0.5), 0.5, 1.5, 0.3)
@@ -356,6 +384,10 @@ GOLDEN_CSV_CONFIGS = {
     "random-north-t-bump-grid": dict(
         density=BUMP, nav=NavSpec(kind=NavKind.RANDOM_NORTH_THETA, p_theta=6), pairs=None,
         grid_step=0.1, max_pairs=6, euler_h=None),
+    "t-bump-exponents": dict(
+        density=BUMP, nav=NavSpec(kind=NavKind.THETA, p_theta=6),
+        pairs=((0.15 + 0.5j, 0.85 + 0.55j), (0.3 + 0.2j, 0.6 + 0.8j), (0.8 + 0.7j, 0.2 + 0.3j)),
+        exponents=(0.0, 0.5, 1.0, 2.0, 3.0), euler_h=None),
 }
 GOLDEN_CSV_SHA256 = {
     "random-north-t-bump-grid":
@@ -364,6 +396,8 @@ GOLDEN_CSV_SHA256 = {
         "6ff3b4f29998671cd54a9e47df64f0f5e30905101db208d82a51856559e590df",
     "t-affine":
         "4497e6a011e254676891ca3af76a73dccdc92975490390f03c19fc43ec66177e",
+    "t-bump-exponents":
+        "5d9c7a0e0276a94409da1da04fca4afc2d74e4098facfd10a5e5be55970c7d5b",
     "yao-bump-grid":
         "f0adb4783f5c459d1b80d2d2de2466899d027412227735c2ce2270b0570d126d",
 }

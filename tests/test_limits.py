@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from geonav import (DensitySpec, GammaLeavesInset, NavKind, OdeSpec,
@@ -546,6 +548,42 @@ def test_predict_cost_walks_each_leg_once(monkeypatch):
         assert walks == []
 
 
+# one sector angle per kind: straight kinds take theta, the others p_theta
+PREDICTED_KINDS = {
+    "straight-t": st.floats(0.2, math.pi / 2), "straight-yao": st.floats(0.2, 1.5),
+    "random-north-t": st.integers(6, 9), "random-north-y": st.integers(6, 9),
+    "t": st.integers(6, 9), "yao": st.integers(6, 9),
+}
+PROPERTY_DENSITIES = [UNIT, DensitySpec.affine(1.0, 0.8, -0.3),
+                      DensitySpec.radial_bump((0.5, 0.5), 0.5, 1.5, 0.3)]
+
+
+@pytest.mark.parametrize("kind", sorted(PREDICTED_KINDS))
+@settings(max_examples=30)
+@given(data=st.data(), h=st.floats(1e-3, 5e-3),
+       extra=st.lists(st.floats(0.0, 8.0), max_size=2))
+def test_curve_costs_equal_predict_cost_property(kind, data, h, extra):
+    # the predictor's curve folds every cost from its own walk: the same
+    # floats as predict_cost's separate walk, at closed-form exponents (0, 1,
+    # 2) and at quadrature ones, with none, and for s == t
+    angle = data.draw(PREDICTED_KINDS[kind])
+    dens = data.draw(st.sampled_from(PROPERTY_DENSITIES))
+    coord = st.floats(0.05, 0.95)
+    s = complex(data.draw(coord), data.draw(coord))
+    t = s if data.draw(st.integers(0, 3)) == 3 else complex(data.draw(coord), data.draw(coord))
+    p_theta = angle if isinstance(angle, int) else None
+    assume(limits.limit_path_in_inset(dens, kind, p_theta, s, t))
+    for exponents in ((0.0, 0.5, 1.0, 2.0, 3.0, *extra), ()):
+        if kind in ("t", "yao"):
+            _, _, curve = predict_cross(kind, angle, s, t, dens, h=h, exponents=exponents)
+            want = predict_cost(kind, None, exponents, s, t, dens, h=h, p_theta=angle)
+        else:
+            theta = angle if p_theta is None else 2 * math.pi / p_theta
+            _, _, curve = predict_straight(kind, theta, s, t, dens, h=h, exponents=exponents)
+            want = predict_cost(kind, theta, exponents, s, t, dens, h=h)
+        assert repr(curve.end_costs) == repr(want)
+
+
 def test_predict_cost_never_samples(monkeypatch):
     # every cost rate is exact: no prediction draws from the hop law, at
     # exponents off the closed forms too
@@ -601,16 +639,20 @@ GOLDEN_PAIRS = {
 def golden_record(dens, s, t, kind):
     """repr of every number the harness takes from one pair's predictions,
     at the library's default Euler step: length, nb, the curve's end point,
-    step count, end time and hit time, and the costs at g = 0, 1, 2."""
+    step count, end time and hit time, and ``predict_cost``'s costs at
+    g = 0, 1, 2; then, apart, the reprs of the same costs as the predictor
+    folds them into its curve."""
+    gs = (0.0, 1.0, 2.0)
     if kind == "t":
-        length, nb, curve = predict_cross(kind, 6, s, t, dens)
+        length, nb, curve = predict_cross(kind, 6, s, t, dens, exponents=gs)
     else:
-        length, nb, curve = predict_straight(kind, math.pi / 3, s, t, dens)
-    costs = predict_cost(kind, math.pi / 3, (0.0, 1.0, 2.0), s, t, dens,
+        length, nb, curve = predict_straight(kind, math.pi / 3, s, t, dens, exponents=gs)
+    costs = predict_cost(kind, math.pi / 3, gs, s, t, dens,
                          p_theta=6 if kind == "t" else None)
-    return (repr(float(length)), repr(float(nb)), repr(curve.end_position),
-            len(curve.times), repr(float(curve.times[-1])),
-            repr(float(curve.hit_time)), tuple(repr(float(c)) for c in costs))
+    record = (repr(float(length)), repr(float(nb)), repr(curve.end_position),
+              len(curve.times), repr(float(curve.times[-1])),
+              repr(float(curve.hit_time)), tuple(repr(float(c)) for c in costs))
+    return record, tuple(repr(float(c)) for c in curve.end_costs)
 
 
 GOLDEN = {
@@ -669,4 +711,7 @@ GOLDEN = {
 def test_predictions_match_golden_values(name, k):
     s, t = GOLDEN_PAIRS[name][k]
     for kind in ("straight-t", "t"):
-        assert golden_record(GOLDEN_DENSITIES[name], s, t, kind) == GOLDEN[(name, k, kind)]
+        record, curve_costs = golden_record(GOLDEN_DENSITIES[name], s, t, kind)
+        assert record == GOLDEN[(name, k, kind)]
+        # the curve walk's own costs are the pinned ones
+        assert curve_costs == GOLDEN[(name, k, kind)][-1]
