@@ -21,7 +21,8 @@ from .harness import ExperimentConfig, run_experiment, summarize
 from .limits import constants, predict_cross, predict_straight
 from .navigation import (CROSS_KINDS, DIRECTED_KINDS, NavKind, NavSpec,
                          record_to_dict, run, run_directed)
-from .points import diagnose, load_points, sample_iid, sample_ppp, save_points
+from .points import (NAVMAX_DIRECTIONS, diagnose, load_points, sample_iid, sample_ppp,
+                     save_points)
 
 
 def _parse_point(text: str) -> complex:
@@ -211,7 +212,7 @@ def _cmd_diagnose(args) -> int:
     d = diagnose(ps, args.theta, args.grid_step, args.r)
     print(json.dumps({"navmax": d.navmax, "maxball": d.maxball,
                       "r_min": d.r_min, "grid_step": d.grid_step,
-                      "directions": 64}, indent=2))
+                      "directions": NAVMAX_DIRECTIONS}, indent=2))
     return 0
 
 

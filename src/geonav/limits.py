@@ -33,13 +33,11 @@ end.  Given ``exponents``, each leg's curve walk also carries the coupled
 cost equation of every exponent, and the glued curve's ``end_costs`` adds
 the legs' costs in leg order; so a prediction walks each leg twice, once
 for its hitting time and once for the curve and the costs.
-``predict_cost`` is the no-curve path to the same costs: it walks the same
-legs once for all exponents.  ``euler_solve`` and ``predict_cost`` step
-through one kernel (``_walk``), which records the density at each iterate
-and builds the position curve only for ``euler_solve``; each exponent's cost
-is folded from those densities after the walk, in the order an accumulator
-carried through the steps would add them, so it is the same float on both
-paths.
+``predict_cost`` returns the ``end_costs`` of the same glued curve walk.
+``euler_solve`` holds the one 2-D Euler loop: it records the density at
+each iterate, and each exponent's cost is folded from those densities after
+the walk, in the order an accumulator carried through the steps would add
+them.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from .density import DensitySpec
 from .errors import (GammaLeavesInset, OutOfRangeTheta, SegmentLeavesDomain,
                      StepOutOfDomain)
 from .geometry import CrossParams, as_point, corner_point, gamma_path
-from .navigation import NavKind, stage_samples
+from .navigation import DIRECTED_KINDS, NavKind, in_guarded_range, stage_samples
 
 __all__ = [
     "ConstantsRow", "constants", "McConstants", "mc_constants",
@@ -162,16 +160,6 @@ def hop_moment(kind, theta: float, g: float) -> float:
     return val
 
 
-_RANGES = {
-    NavKind.YAO: ("closed", math.pi / 3.0),
-    NavKind.THETA: ("closed", math.pi / 3.0),
-    NavKind.STRAIGHT_YAO: ("open", math.pi / 2.0),
-    NavKind.STRAIGHT_THETA: ("closed", math.pi / 2.0),
-    NavKind.RANDOM_NORTH_THETA: ("closed", math.pi / 3.0),
-    NavKind.RANDOM_NORTH_YAO: ("closed", math.pi / 3.0),
-}
-
-
 @dataclass(frozen=True)
 class ConstantsRow:
     """Limit constants of one navigation kind at one angle.
@@ -203,15 +191,13 @@ class ConstantsRow:
 
 def check_theta(kind, theta: float) -> None:
     """Raise OutOfRangeTheta unless ``constants`` has a row for the kind at
-    this angle."""
+    this angle: a targeted kind in its guarded range
+    (``navigation.in_guarded_range``)."""
     kind = NavKind(kind)
-    if kind not in _RANGES:
+    if kind in DIRECTED_KINDS:
         raise OutOfRangeTheta(f"no constants table for {kind.value}; "
                               "use mc_constants for directed kinds")
-    mode, lim = _RANGES[kind]
-    # the closed bounds tolerate hand-rounded angles such as 1.5708
-    ok = theta < lim - 1e-15 if mode == "open" else theta <= lim * (1.0 + 1e-5)
-    if not (theta > 0.0 and ok):
+    if not in_guarded_range(kind, theta):
         raise OutOfRangeTheta(f"theta={theta:g} outside the {kind.value} range")
 
 
@@ -362,7 +348,7 @@ class LimitCurve:
         return complex(self.positions[-1, 0], self.positions[-1, 1])
 
 
-def _point_curve(z: complex, end_costs: tuple = ()) -> LimitCurve:
+def _point_curve(z: complex, end_costs: tuple) -> LimitCurve:
     return LimitCurve(np.zeros(1), np.array([[z.real, z.imag]]), 0.0, end_costs)
 
 
@@ -384,62 +370,9 @@ def _check_step_budget(arc: float, lam: float, h: float, density: DensitySpec) -
                               f"than {_STEP_BUDGET} steps")
 
 
-def _walk(spec: OdeSpec, target, curve: bool):
-    """The explicit Euler walk of the flow from ``spec.start`` to ``target``.
-
-    Returns ``(fs, frac, end, pos)``: the density at every iterate the walk
-    steps from, the crossing step's last one included; the fraction of that
-    step that reaches the target; the end point; and, with ``curve``, the
-    iterates before the crossing step (else None).  Each full step lasts
-    ``h`` and the crossing step ``frac*h``.  A zero-length walk has no step:
-    ``fs`` is empty.  Raises StepOutOfDomain when an iterate leaves the
-    domain before the target, or when the walk cannot end within the step
-    budget.
-    """
-    f_at = spec.density.scalar()
-    dom = spec.density.domain
-    start = spec.start
-    e = complex(math.cos(spec.nu), math.sin(spec.nu))
-    lam = spec.lam
-    h = spec.h
-    arc_goal = abs(as_point(target) - start)
-    fs = []
-    pos = [start] if curve else None
-    if arc_goal == 0.0:
-        return fs, 0.0, start, pos
-    # the bound holds for steps from the domain; a start outside it is left
-    # to the domain test below
-    if dom.contains(start):
-        _check_step_budget(arc_goal, lam, h, spec.density)
-    x0, y0, x1, y1 = dom.x0, dom.y0, dom.x1, dom.y1
-    record = fs.append
-    keep = pos.append if curve else None
-    z = start
-    for _ in itertools.repeat(None, _STEP_BUDGET):
-        f = f_at(z.real, z.imag)
-        record(f)
-        speed = lam / math.sqrt(f)
-        znew = z + h * speed * e
-        arc_new = abs(znew - start)
-        if arc_new >= arc_goal:
-            arc_old = abs(z - start)
-            frac = 1.0 if arc_new == arc_old else \
-                (arc_goal - arc_old) / (arc_new - arc_old)
-            frac = min(max(frac, 0.0), 1.0)
-            return fs, frac, z + frac * h * speed * e, pos
-        if not (x0 <= znew.real <= x1 and y0 <= znew.imag <= y1):
-            t = 0.0
-            for _ in fs:
-                t += h
-            raise StepOutOfDomain(f"iterate left the domain at t={t:g}")
-        z = znew
-        if curve:
-            keep(z)
-    raise StepOutOfDomain("target not reached within the iteration budget")
-
-
 def _walk_cost(fs: list, frac: float, h: float, q: float, g: float) -> float:
-    """The cost equation's Euler sum over a walk's densities ``fs``.
+    """The cost equation's Euler sum over the densities ``fs`` of a walk of
+    at least one step.
 
     Adds ``h*q / f**(g/2)`` for each full step, then ``frac`` of the
     crossing step's term, one float operation at a time in walk order, so it
@@ -448,8 +381,6 @@ def _walk_cost(fs: list, frac: float, h: float, q: float, g: float) -> float:
     numpy, ``sum`` on Python 3.12+) rounds differently.  ``f**0.0 == 1.0``
     and ``f**1.0 == f`` exactly, so g = 0 and g = 2 skip ``pow``.
     """
-    if not fs:
-        return 0.0
     hq = h * q
     half_g = g / 2.0
     full = itertools.islice(fs, len(fs) - 1)
@@ -473,18 +404,55 @@ def euler_solve(spec: OdeSpec, target) -> LimitCurve:
     The direction is constant, so hitting the target reduces to crossing its
     arc-length offset; the crossing step is shortened by linear
     interpolation, which keeps the g=0 and g=1 cost identities exact.  The
-    walk records the density at each iterate, and each exponent's cost is
-    folded from those densities after it (``_walk_cost``), equal bit for bit
-    to an accumulator carried through the steps.  The global error is O(h).
-    Raises StepOutOfDomain when an iterate leaves the domain before the
-    target, or when the walk cannot end within ten million steps.
+    walk records the density at each iterate it steps from, and each
+    exponent's cost is folded from those densities after it
+    (``_walk_cost``), equal bit for bit to an accumulator carried through
+    the steps.  The global error is O(h).  Raises StepOutOfDomain when an
+    iterate leaves the domain before the target, or when the walk cannot end
+    within ten million steps.
     """
-    fs, frac, end, pos = _walk(spec, target, curve=True)
+    f_at = spec.density.scalar()
+    dom = spec.density.domain
+    start = spec.start
+    e = complex(math.cos(spec.nu), math.sin(spec.nu))
+    lam = spec.lam
     h = spec.h
+    arc_goal = abs(as_point(target) - start)
+    if arc_goal == 0.0:
+        return _point_curve(start, (0.0,) * len(spec.cost_g))
+    # the bound holds for steps from the domain; a start outside it is left
+    # to the domain test below
+    if dom.contains(start):
+        _check_step_budget(arc_goal, lam, h, spec.density)
+    x0, y0, x1, y1 = dom.x0, dom.y0, dom.x1, dom.y1
+    fs = []
+    pos = [start]
+    record = fs.append
+    keep = pos.append
+    z = start
+    for _ in itertools.repeat(None, _STEP_BUDGET):
+        f = f_at(z.real, z.imag)
+        record(f)
+        speed = lam / math.sqrt(f)
+        znew = z + h * speed * e
+        arc_new = abs(znew - start)
+        if arc_new >= arc_goal:
+            arc_old = abs(z - start)
+            frac = 1.0 if arc_new == arc_old else \
+                (arc_goal - arc_old) / (arc_new - arc_old)
+            frac = min(max(frac, 0.0), 1.0)
+            keep(z + frac * h * speed * e)
+            break
+        if not (x0 <= znew.real <= x1 and y0 <= znew.imag <= y1):
+            t = 0.0
+            for _ in fs:
+                t += h
+            raise StepOutOfDomain(f"iterate left the domain at t={t:g}")
+        z = znew
+        keep(z)
+    else:
+        raise StepOutOfDomain("target not reached within the iteration budget")
     costs = tuple(_walk_cost(fs, frac, h, q, g) for q, g in zip(spec.cost_q, spec.cost_g))
-    if not fs:
-        return _point_curve(end, costs)
-    pos.append(end)
     times = list(itertools.accumulate(itertools.repeat(h, len(fs) - 1), initial=0.0))
     t = times[-1] + frac * h
     times.append(t)
@@ -583,20 +551,27 @@ def _leg_spec(leg, density: DensitySpec, h: float, **cost) -> OdeSpec:
     return OdeSpec(lam, math.atan2((b - a).imag, (b - a).real), a, density, h, **cost)
 
 
+def _legs_curve(kind, angle: float, legs, density: DensitySpec, h: float,
+                exponents: tuple) -> LimitCurve:
+    """The legs' Euler walks glued end to end; the curve's ``end_costs``
+    holds one cost per exponent, at the rates ``hop_moment(kind, angle, g)``."""
+    qs = tuple(hop_moment(kind, angle, g) for g in exponents)
+    return _glue([euler_solve(_leg_spec(leg, density, h, cost_q=qs, cost_g=exponents), leg[1])
+                  for leg in legs])
+
+
 def _predict_path(kind, angle: float, legs, s, density: DensitySpec, h: float | None,
                   exponents):
-    """Length, stage count and curve over ``legs``; the curve's ``end_costs``
-    holds one cost per exponent, at the rates ``hop_moment(kind, angle, g)``."""
+    """Length, stage count and curve over ``legs``, with the costs of
+    ``exponents`` in the curve's ``end_costs``."""
     exponents = tuple(float(g) for g in exponents)
     if not legs:
         return 0.0, 0.0, _point_curve(as_point(s), (0.0,) * len(exponents))
     h = h if h is not None else default_step(density)
-    qs = tuple(hop_moment(kind, angle, g) for g in exponents)
+    curve = _legs_curve(kind, angle, legs, density, h, exponents)
     length = sum(q * abs(b - a) for a, b, _, q in legs)
     nb = sum(hit_time(lam, a, b, density, h) for a, b, lam, _ in legs)
-    curves = [euler_solve(_leg_spec(leg, density, h, cost_q=qs, cost_g=exponents), leg[1])
-              for leg in legs]
-    return length, nb, _glue(curves)
+    return length, nb, curve
 
 
 def predict_straight(kind, theta: float, s, t, density: DensitySpec,
@@ -637,8 +612,7 @@ def _glue(curves) -> LimitCurve:
     shift = a.times[-1]
     times = np.concatenate([a.times, shift + b.times[1:]])
     positions = np.vstack([a.positions, b.positions[1:]])
-    # the legs' costs add in leg order from 0.0, as predict_cost's fold does
-    costs = tuple(0.0 + ca + cb for ca, cb in zip(a.end_costs, b.end_costs))
+    costs = tuple(ca + cb for ca, cb in zip(a.end_costs, b.end_costs))
     return LimitCurve(times, positions, shift + b.hit_time, costs)
 
 
@@ -647,10 +621,12 @@ def predict_cost(kind, theta: float, exponents, s, t, density: DensitySpec,
     """Limiting ``sum |hop|^g`` over ``n^{(1-g)/2}`` for one pair, one value
     per exponent g in ``exponents``.
 
-    Walks each leg once, integrating the coupled cost equation of every
-    exponent with ``q = E(|hop|^g)`` at unit intensity (at the sector angle
-    ``2*pi/p_theta`` when ``p_theta`` is given); reduces exactly to the
-    stage-count prediction at g=0 and to the length prediction at g=1.
+    The ``end_costs`` of the legs' glued curve walk, as ``predict_straight``
+    and ``predict_cross`` give it: each leg is walked once, integrating the
+    coupled cost equation of every exponent with ``q = E(|hop|^g)`` at unit
+    intensity (at the sector angle ``2*pi/p_theta`` when ``p_theta`` is
+    given); reduces exactly to the stage-count prediction at g=0 and to the
+    length prediction at g=1.  No exponents, or ``s == t``, walk nothing.
     """
     exponents = tuple(float(g) for g in exponents)
     legs = _legs(kind, theta, p_theta, s, t, density)
@@ -658,10 +634,4 @@ def predict_cost(kind, theta: float, exponents, s, t, density: DensitySpec,
         return (0.0,) * len(exponents)
     h = h if h is not None else default_step(density)
     angle = theta if p_theta is None else 2.0 * math.pi / p_theta
-    qs = tuple(hop_moment(kind, angle, g) for g in exponents)
-    totals = [0.0] * len(exponents)
-    for leg in legs:
-        fs, frac, _, _ = _walk(_leg_spec(leg, density, h), leg[1], curve=False)
-        totals = [c + _walk_cost(fs, frac, h, q, g)
-                  for c, q, g in zip(totals, qs, exponents)]
-    return tuple(totals)
+    return _legs_curve(kind, angle, legs, density, h, exponents).end_costs

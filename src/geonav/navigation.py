@@ -25,7 +25,7 @@ from .points import PointSet, nearest_in_sector
 
 __all__ = [
     "NavKind", "NavSpec", "PathRecord", "CostReport",
-    "next_stop", "run", "run_directed", "costs", "stage_samples",
+    "next_stop", "run", "run_directed", "costs", "stage_samples", "in_guarded_range",
 ]
 
 
@@ -47,18 +47,27 @@ NORTH_KINDS = {NavKind.RANDOM_NORTH_THETA, NavKind.RANDOM_NORTH_YAO}
 DISK_KINDS = {NavKind.YAO, NavKind.STRAIGHT_YAO, NavKind.DIRECTED_YAO,
               NavKind.RANDOM_NORTH_YAO}
 
-# Parameter ranges with a guaranteed strictly-approaching, terminating run
-# on point sets in general position.  Outside these, runs are permitted but
-# flagged unguaranteed.
-_GUARDED_MAX = {
-    NavKind.YAO: math.pi / 3.0,
-    NavKind.THETA: math.pi / 3.0,
-    NavKind.STRAIGHT_THETA: math.pi / 2.0,
-    NavKind.DIRECTED_THETA: math.pi,
-    NavKind.DIRECTED_YAO: math.pi / 2.0,
-    NavKind.RANDOM_NORTH_THETA: math.pi / 3.0,
-    NavKind.RANDOM_NORTH_YAO: math.pi / 3.0,
+# Angle ranges with a guaranteed strictly-approaching, terminating run on
+# point sets in general position, as (upper end, closed).  A closed end
+# tolerates hand-rounded angles such as 1.5708 (a relative 1e-5); the open
+# end stops EPS short.  Outside these, runs are permitted but flagged
+# unguaranteed, and limits.check_theta refuses the angle.
+_GUARDED_RANGES = {
+    NavKind.YAO: (math.pi / 3.0, True),
+    NavKind.THETA: (math.pi / 3.0, True),
+    NavKind.STRAIGHT_YAO: (math.pi / 2.0, False),
+    NavKind.STRAIGHT_THETA: (math.pi / 2.0, True),
+    NavKind.DIRECTED_THETA: (math.pi, True),
+    NavKind.DIRECTED_YAO: (math.pi / 2.0, True),
+    NavKind.RANDOM_NORTH_THETA: (math.pi / 3.0, True),
+    NavKind.RANDOM_NORTH_YAO: (math.pi / 3.0, True),
 }
+
+
+def in_guarded_range(kind: NavKind, theta: float) -> bool:
+    """Whether ``theta`` lies in the guarded angle range of ``kind``."""
+    lim, closed = _GUARDED_RANGES[kind]
+    return 0.0 < theta <= lim * (1.0 + 1e-5) if closed else 0.0 < theta < lim - EPS
 
 
 @dataclass(frozen=True)
@@ -103,10 +112,7 @@ class NavSpec:
 
     @property
     def guarded(self) -> bool:
-        lim = _GUARDED_MAX.get(self.kind)
-        if lim is None:  # straight-yao: strict upper bound
-            return self.theta < math.pi / 2.0 - EPS
-        return self.theta <= lim * (1.0 + 1e-5)
+        return in_guarded_range(self.kind, self.theta)
 
 
 @dataclass
@@ -159,22 +165,11 @@ class PathRecord:
         d = self.dist_to_target()
         return bool((np.diff(d) < 0.0).all())
 
-    def position_at(self, times) -> np.ndarray:
-        """Stage-interpolated position; time unit = one stage."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        k = np.arange(len(self.stops), dtype=float)
-        x = np.interp(times, k, self.stops[:, 0])
-        y = np.interp(times, k, self.stops[:, 1])
-        return np.column_stack([x, y])
-
 
 @dataclass(frozen=True)
 class CostReport:
     exponents: tuple
     values: tuple
-
-    def as_dict(self) -> dict:
-        return {f"cost_g{g:g}": v for g, v in zip(self.exponents, self.values)}
 
 
 def norths_for(ps: PointSet, seed: int) -> np.ndarray:

@@ -37,7 +37,7 @@ from .geometry import EPS, as_point, norm_angle
 __all__ = [
     "GridIndex", "PointSet", "Diagnostics",
     "sample_ppp", "sample_iid", "nearest_in_sector",
-    "navmax", "maxball", "r_min", "save_points", "load_points",
+    "navmax", "NAVMAX_DIRECTIONS", "maxball", "r_min", "save_points", "load_points",
 ]
 
 
@@ -269,6 +269,8 @@ _PASS_CELLS = 1 << 14
 # navmax walks its lattice in blocks of _NAVMAX_BLOCK apexes (blocks of 128
 # to 512 measured faster than whole lattices of 1000 apexes and more)
 _NAVMAX_BLOCK = 512
+# navmax aims this many evenly spaced directions from every apex
+NAVMAX_DIRECTIONS = 64
 # an aim's reach widens its sector far past the catch rule's rounding (rad)
 _AIM_DELTA = 1e-9
 
@@ -472,10 +474,10 @@ class Diagnostics:
     grid_step: float
 
 
-def navmax(ps: PointSet, theta: float, grid_step: float, directions: int = 64) -> float:
+def navmax(ps: PointSet, theta: float, grid_step: float) -> float:
     """Discretized sup, over apexes on a lattice of the inset domain and over
-    evenly spaced aim directions, of the minimal disk-sector radius containing
-    a point.
+    ``NAVMAX_DIRECTIONS`` evenly spaced aim directions, of the minimal
+    disk-sector radius containing a point.
 
     A lattice lower bound of the true continuum sup; reported as a
     diagnostic, not a certified bound.  ``theta`` must lie in (0, 2*pi] and
@@ -493,7 +495,7 @@ def navmax(ps: PointSet, theta: float, grid_step: float, directions: int = 64) -
     for lo in range(0, len(ax), _NAVMAX_BLOCK):
         blk = slice(lo, lo + _NAVMAX_BLOCK)
         per_dir = _sector_radii(ps, ax[blk], ay[blk], ai[blk], aj[blk],
-                                theta / 2.0, directions)
+                                theta / 2.0, NAVMAX_DIRECTIONS)
         finite = per_dir[np.isfinite(per_dir)]
         if len(finite):
             worst = max(worst, float(finite.max()))

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from geonav.cli import main
+from geonav.points import NAVMAX_DIRECTIONS
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +80,7 @@ def test_sample_navigate_diagnose_pipeline(tmp_path, capsys):
     assert code == 0
     d = json.loads(out)
     assert d["navmax"] > 0 and d["maxball"] >= 1 and d["r_min"] > 0
+    assert d["directions"] == NAVMAX_DIRECTIONS
 
 
 def test_navigate_directed_with_svg(tmp_path, capsys):

@@ -179,11 +179,11 @@ def test_run_experiment_predictions_constant_across_seeds():
     (NavSpec(kind=NavKind.THETA, p_theta=6), 2),
 ])
 def test_predictions_walk_each_leg_twice(monkeypatch, nav, legs):
-    # hit_time for nb, and one Euler walk for the curve and every cost; the
-    # separate cost walk of predict_cost is never taken
+    # hit_time for nb, and one Euler walk for the curve and every cost;
+    # predict_cost is never called
     walks, hits = [], []
-    walk, hit = limits._walk, limits.hit_time
-    monkeypatch.setattr(limits, "_walk", lambda *a, **k: walks.append(a) or walk(*a, **k))
+    walk, hit = limits.euler_solve, limits.hit_time
+    monkeypatch.setattr(limits, "euler_solve", lambda *a, **k: walks.append(a) or walk(*a, **k))
     monkeypatch.setattr(limits, "hit_time", lambda *a, **k: hits.append(a) or hit(*a, **k))
 
     def refuse(*args, **kwargs):

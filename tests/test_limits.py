@@ -8,12 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from geonav import (DensitySpec, GammaLeavesInset, NavKind, OdeSpec,
+from geonav import (DensitySpec, GammaLeavesInset, NavKind, NavSpec, OdeSpec,
                     OutOfRangeTheta, Rect, StepOutOfDomain, constants,
                     euler_solve, hit_time, mc_constants, predict_cost,
                     predict_cross, predict_straight)
-from geonav import limits
+from geonav import limits, navigation
+from geonav.geometry import EPS
 from geonav.limits import hop_moment
+from geonav.navigation import CROSS_KINDS, DIRECTED_KINDS, NORTH_KINDS
 
 DEG = math.pi / 180.0
 UNIT = DensitySpec.constant(1.0)
@@ -131,6 +133,39 @@ def test_constants_theta_ranges():
         constants("straight-t", 1.8)
     constants("straight-t", math.pi / 2)
     constants("straight-yao", math.pi / 2 - 1e-6)
+    # straight-yao's open end stops EPS = 1e-12 short of pi/2
+    with pytest.raises(OutOfRangeTheta):
+        constants("straight-yao", math.pi / 2 - 1e-13)
+
+
+@pytest.mark.parametrize("kind", [k for k in NavKind if k not in DIRECTED_KINDS])
+def test_check_theta_accepts_exactly_the_guarded_range(kind):
+    # one angle rule: at each end of a targeted kind's range and one ulp
+    # either side of it, check_theta passes exactly when the spec is guarded
+    lim, closed = navigation._GUARDED_RANGES[kind]
+    high = lim * (1.0 + 1e-5) if closed else lim - EPS
+    spec = NavSpec(kind=kind, p_theta=6) if kind in CROSS_KINDS | NORTH_KINDS \
+        else NavSpec(kind=kind, theta=1.0)
+    verdicts = {}
+    for end in (0.0, high):
+        for angle in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)):
+            # set past the constructor, which refuses angles <= 0 and takes
+            # the cross kinds' angle from p_theta
+            object.__setattr__(spec, "theta", angle)
+            try:
+                limits.check_theta(kind, angle)
+            except OutOfRangeTheta:
+                verdicts[angle] = False
+            else:
+                verdicts[angle] = True
+            assert verdicts[angle] == spec.guarded, angle
+    assert list(verdicts.values()) == [False, False, True, True, closed, False]
+
+
+@pytest.mark.parametrize("kind", sorted(DIRECTED_KINDS))
+def test_check_theta_refuses_directed_kinds(kind):
+    with pytest.raises(OutOfRangeTheta, match="mc_constants"):
+        limits.check_theta(kind, math.pi / 3)
 
 
 # -- Monte Carlo consistency -------------------------------------------------------
@@ -534,8 +569,8 @@ def test_predict_cost_walks_each_leg_once(monkeypatch):
     # one cost walk per leg carries every exponent: one walk for a segment,
     # two for a cross pair with a corner, none without exponents or for s == t
     walks = []
-    walk = limits._walk
-    monkeypatch.setattr(limits, "_walk", lambda *a, **k: walks.append(a) or walk(*a, **k))
+    walk = limits.euler_solve
+    monkeypatch.setattr(limits, "euler_solve", lambda *a, **k: walks.append(a) or walk(*a, **k))
     cases = [("straight-t", math.pi / 2, None, 0.2 + 0.5j, 0.8 + 0.5j, 1),
              ("t", math.pi / 3, 6, 0j, cmath.rect(1.0, 20 * DEG), 2)]
     for kind, theta, p, s, t, legs in cases:

@@ -12,7 +12,7 @@ from geonav import (DensitySpec, EmptyPointSet, NavSpec, PointSet, Rect, TooFewP
                     sample_iid, sample_ppp, save_points)
 from geonav import points
 from geonav.geometry import EPS
-from geonav.points import _NAVMAX_BLOCK, _dedupe
+from geonav.points import _NAVMAX_BLOCK, NAVMAX_DIRECTIONS, _dedupe
 
 UNIT = DensitySpec.constant(1.0)
 BUMP = DensitySpec.radial_bump((0.5, 0.5), 0.5, 1.5, 0.3)
@@ -810,7 +810,7 @@ def test_navmax_bound_form_many_seeds():
     assert bad <= 1
 
 
-def brute_navmax(ps, theta, grid_step, directions=64):
+def brute_navmax(ps, theta, grid_step, directions=NAVMAX_DIRECTIONS):
     """navmax reading every point for every apex and aim: an aim catches a
     point when the point's angle, in bins, lies within half of the aim up
     to a whole turn."""
@@ -902,7 +902,7 @@ def test_navmax_property(pts, rate, density, step, theta, how, side, width):
     assert navmax(ps, theta, step) == brute_navmax(ps, theta, step)
 
 
-def catches(dx, dy, aim, half, directions=64):
+def catches(dx, dy, aim, half, directions=NAVMAX_DIRECTIONS):
     """The aim bins' catch rule of navmax: bin ``aim`` catches an offset
     whose angle, in bins, lies within ``half`` of it up to a whole turn."""
     bin_w = 2.0 * math.pi / directions
@@ -1027,7 +1027,8 @@ def test_aim_reach_waits_for_every_apex_to_find_a_point(monkeypatch):
     assert 0 < len(calls) <= blocks
     for ax, ay in calls:
         for x, y in set(zip(ax.tolist(), ay.tolist())):
-            assert any(catches(ps.xs - x, ps.ys - y, aim, theta / 2).any() for aim in range(64))
+            assert any(catches(ps.xs - x, ps.ys - y, aim, theta / 2).any()
+                       for aim in range(NAVMAX_DIRECTIONS))
 
 
 def test_navmax_maxball_argument_ranges():
