@@ -14,7 +14,7 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,6 +83,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         try:
+            _refuse_unknown_keys(obj, cls, "")
+            _refuse_unknown_keys(obj["density"], DensitySpec, "density ")
+            _refuse_unknown_keys(obj["nav"], NavSpec, "nav ")
             density = DensitySpec.from_dict(obj["density"])
             try:
                 nav = NavSpec(kind=NavKind(obj["nav"]["kind"]),
@@ -119,6 +122,14 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _refuse_unknown_keys(obj: dict, spec, where: str) -> None:
+    """Refuse the keys of ``obj`` that name no init field of the dataclass
+    ``spec``: a misspelled optional key would otherwise be dropped."""
+    unknown = sorted(set(obj) - {f.name for f in fields(spec) if f.init})
+    if unknown:
+        raise ConfigError(f"unknown {where}config key {', '.join(map(repr, unknown))}")
 
 
 def generate_pairs(config: ExperimentConfig) -> list:

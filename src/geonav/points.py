@@ -1,7 +1,8 @@
 """Random stopping-place sets with a uniform-grid index for sector queries.
 
 Sampling is deterministic given a seed.  The grid index stores point ids in
-CSR layout (ids sorted by cell, plus per-cell offsets).  A sector query
+CSR layout as int32: ids sorted by cell (stable radix passes over the
+16-bit digits of the cell id), plus per-cell offsets.  A sector query
 first reads the 7 x 7 block of cells around the apex cell as one run of ids
 per grid column, with no cone test, with its target in the last slot, as id
 -1.  One scorer call per batch (``_candidate_key``) returns the batch's
@@ -50,15 +51,24 @@ class GridIndex:
         self.nx = max(1, math.ceil(rect.width / cell))
         self.ny = max(1, math.ceil(rect.height / cell))
         ix, iy = self.cells_of(xs, ys)
-        flat = ix * self.ny + iy
-        self.order = np.argsort(flat, kind="stable")
-        self.starts = np.zeros(self.nx * self.ny + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=self.nx * self.ny), out=self.starts[1:])
-        # bounds from cell corners and exact distances may round this far apart
-        self.slack = 1e-12 * (cell + max(abs(rect.x0), abs(rect.x1), abs(rect.y0), abs(rect.y1)))
         # the box of cells that hold a point: (i_lo, i_hi, j_lo, j_hi)
         self.box = ((int(ix.min()), int(ix.max()), int(iy.min()), int(iy.max()))
-                    if len(flat) else (0, -1, 0, -1))
+                    if len(ix) else (0, -1, 0, -1))
+        flat = ix * self.ny + iy
+        del ix, iy
+        cells = self.nx * self.ny
+        dtype = np.int32 if len(flat) < 2**31 else np.int64
+        self.starts = np.zeros(cells + 1, dtype=dtype)
+        np.cumsum(np.bincount(flat, minlength=cells), out=self.starts[1:])
+        # stable passes over the cell id's 16-bit digits, lowest first
+        digits = [(flat >> s).astype(np.uint16)
+                  for s in range(0, max(cells - 1, 1).bit_length(), 16)]
+        del flat
+        self.order = np.argsort(digits.pop(0), kind="stable").astype(dtype)
+        while digits:
+            self.order = self.order[np.argsort(digits.pop(0)[self.order], kind="stable")]
+        # bounds from cell corners and exact distances may round this far apart
+        self.slack = 1e-12 * (cell + max(abs(rect.x0), abs(rect.x1), abs(rect.y0), abs(rect.y1)))
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         i = min(self.nx - 1, max(0, int((x - self.rect.x0) / self.cell)))

@@ -173,6 +173,16 @@ def test_experiment_invalid_value_is_config_error(tmp_path, capsys, change):
     assert err.startswith("error:") and next(iter(change)) in err
 
 
+@pytest.mark.parametrize("change,key", [
+    ({"max_pair": 3}, "max_pair"),
+    ({"nav": {"kind": "straight-t", "theta": 1.5, "alpah": 0.1}}, "alpah")])
+def test_experiment_unknown_key_is_config_error(tmp_path, capsys, change, key):
+    cfg = write_config(tmp_path, **change)
+    code, out, err = run_cli(capsys, "experiment", "--config", cfg)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and repr(key) in err
+
+
 def test_experiment_step_too_fine_for_the_budget_fails_fast(tmp_path, capsys,
                                                            count_density_calls):
     # at euler_h 1e-12 the pair's walks need about 1e11 steps, far over the

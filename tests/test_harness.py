@@ -122,6 +122,49 @@ def test_generated_pairs_all_predict_property(x0, y0, w, h, inset, cols, kind, p
     assert len(_predictions(cfg, pairs)) == len(pairs)
 
 
+# -- config reading --------------------------------------------------------------
+
+# every key a config may hold, at each level
+CONFIG = {
+    "density": {"kind": "constant", "params": [1.0], "domain": [0, 0, 1, 1], "inset_a": 0.04},
+    "nav": {"kind": "straight-t", "theta": 1.5, "alpha": 0.25, "north_seed": 3,
+            "max_steps": 900},
+    "n_values": [400.0],
+    "seeds_per_n": 1,
+    "pairs": [[[0.2, 0.5], [0.8, 0.5]]],
+    "grid_step": 0.2,
+    "max_pairs": 3,
+    "exponents": [0.0, 2.0],
+    "master_seed": 9,
+    "euler_h": 1e-3,
+    "hausdorff_resolution": 2e-3,
+    "navmax_grid_step": 0.05,
+    "csv_path": "a.csv",
+    "json_path": "a.json",
+    "svg_path": "a.svg",
+}
+
+
+def test_config_from_dict_reads_every_known_key():
+    cfg = ExperimentConfig.from_dict(CONFIG)
+    assert (cfg.density.inset_a, cfg.nav.alpha, cfg.nav.north_seed, cfg.nav.max_steps) == (
+        0.04, 0.25, 3, 900)
+    assert (cfg.grid_step, cfg.max_pairs, cfg.exponents, cfg.master_seed, cfg.euler_h,
+            cfg.hausdorff_resolution, cfg.navmax_grid_step) == (
+        0.2, 3, (0.0, 2.0), 9, 1e-3, 2e-3, 0.05)
+    assert (cfg.csv_path, cfg.json_path, cfg.svg_path) == ("a.csv", "a.json", "a.svg")
+
+
+@pytest.mark.parametrize("where,key", [
+    (None, "max_pair"), (None, "euler_step"), ("nav", "thetta"), ("density", "inset")])
+def test_config_from_dict_refuses_unknown_keys(where, key):
+    # a misspelled optional key is refused, not read as its default
+    obj = json.loads(json.dumps(CONFIG))
+    (obj if where is None else obj[where])[key] = 1
+    with pytest.raises(ConfigError, match=f"unknown {where or ''}.*'{key}'"):
+        ExperimentConfig.from_dict(obj)
+
+
 # -- experiment sweep --------------------------------------------------------------
 
 def test_run_experiment_empty_n_values():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -201,6 +202,64 @@ def test_index_partitions_ids():
         for j in range(0, ps.index.ny, 7):
             for pid in ids_in_cell(i, j):
                 assert ps.index.cell_of(ps.xs[pid], ps.ys[pid]) == (i, j)
+
+
+def oracle_index(xs, ys, rect, cell, nx, ny):
+    """``order``, ``starts`` and ``box`` by their definition: each point's
+    cell (the upper edges clipped into the last cell), the ids stably sorted
+    by cell id, and the running count of points per cell."""
+    ix = np.clip(np.floor((xs - rect.x0) / cell), 0, nx - 1).astype(np.int64)
+    iy = np.clip(np.floor((ys - rect.y0) / cell), 0, ny - 1).astype(np.int64)
+    flat = ix * ny + iy
+    starts = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nx * ny))])
+    box = (ix.min(), ix.max(), iy.min(), iy.max()) if len(xs) else (0, -1, 0, -1)
+    return np.argsort(flat, kind="stable"), starts, box
+
+
+def index_cases():
+    rng = np.random.default_rng(17)
+    unit = Rect(0, 0, 1, 1)
+    edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    ex, ey = (np.repeat(np.meshgrid(edges, edges)[k].ravel(), 3) for k in (0, 1))
+    shuffle = rng.permutation(len(ex))
+    yield "empty", unit, 0.1, np.empty(0), np.empty(0), (10, 10)
+    yield "one point", unit, 0.1, np.array([0.37]), np.array([0.81]), (10, 10)
+    yield ("one cell", unit, 0.25, rng.uniform(0.55, 0.7, 40), rng.uniform(0.3, 0.45, 40),
+           (4, 4))
+    yield "cell borders", unit, 0.25, ex[shuffle], ey[shuffle], (4, 4)
+    # 2^16 cells take one 16-bit digit, 256 x 257 cells two
+    for rect in (unit, Rect(0, 0, 1, 257 / 256)):
+        xs = np.concatenate([rng.random(50_000), [1.0, 0.5, 1.0]])
+        ys = np.concatenate([rng.random(50_000) * rect.y1, [rect.y1, rect.y1, 0.0]])
+        ny = round(rect.y1 * 256)
+        yield f"256x{ny} cells", rect, 1 / 256, xs, ys, (256, ny)
+
+
+@pytest.mark.parametrize("case", list(index_cases()), ids=lambda case: case[0])
+def test_index_matches_stable_sort_by_cell(case):
+    _, rect, cell, xs, ys, shape = case
+    idx = points.GridIndex(xs, ys, rect, cell)
+    assert (idx.nx, idx.ny) == shape
+    order, starts, box = oracle_index(xs, ys, rect, cell, idx.nx, idx.ny)
+    assert idx.order.dtype == np.int32 and idx.starts.dtype == np.int32
+    assert np.array_equal(idx.order, order) and np.array_equal(idx.starts, starts)
+    assert idx.box == box
+
+
+def test_index_memory_per_point():
+    # int32 ids and offsets keep about 8 bytes a point at about one point a
+    # cell, and the build drops its temporaries before its sort passes
+    rng = np.random.default_rng(5)
+    n = 200_000
+    xs, ys = rng.random(n), rng.random(n)
+    tracemalloc.start()
+    try:
+        idx = points.GridIndex(xs, ys, Rect(0, 0, 1, 1), 1 / math.sqrt(n))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(idx.order) == n
+    assert kept <= 8.5 * n and peak <= 32 * n
 
 
 def reference_runs(ps, i0, j0, di, lo, hi):
