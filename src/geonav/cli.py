@@ -5,7 +5,11 @@ prints the path record as JSON), ``limits`` (constants and per-pair
 predictions), ``experiment`` (full sweep from a JSON config), ``diagnose``
 (navmax / maxball / r_min of a point-set file).
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Arguments are checked by the types they build (``DensitySpec``, ``NavSpec``,
+``ExperimentConfig``); one a command would drop (``--t`` of a directed kind,
+``--steps`` of a targeted one, a lone ``--s`` or ``--t`` of ``limits``) is
+refused.  Exit codes: 0 success, 1 configuration error (before any
+sampling), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from .density import DensitySpec, Rect
-from .errors import ConfigError, GeonavError
-from .harness import ExperimentConfig, run_experiment, summarize
+from .errors import ConfigError, GeonavError, config_errors
+from .harness import ExperimentConfig, render_svg, run_experiment, summarize
 from .limits import constants, predict_cross, predict_straight
 from .navigation import (CROSS_KINDS, DIRECTED_KINDS, NavKind, NavSpec,
                          record_to_dict, run, run_directed)
@@ -26,40 +31,24 @@ from .points import (NAVMAX_DIRECTIONS, diagnose, load_points, sample_iid, sampl
 
 
 def _parse_point(text: str) -> complex:
-    try:
+    with config_errors(f"expected 'x,y', got {text!r}: "):
         x, y = (float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"expected 'x,y', got {text!r}") from exc
     return complex(x, y)
 
 
 def _parse_density(text: str, domain: str, inset: float) -> DensitySpec:
-    try:
-        x0, y0, x1, y1 = (float(v) for v in domain.split(","))
-        rect = Rect(x0, y0, x1, y1)
-        kind, _, rest = text.partition(":")
+    """``kind:p1,p2,...`` lists the spec's ``params`` in order."""
+    kind, _, rest = text.partition(":")
+    with config_errors(f"bad --density {text!r} on --domain {domain!r}: "):
         params = tuple(float(v) for v in rest.split(",")) if rest else ()
-        if kind == "constant":
-            return DensitySpec.constant(*params, domain=rect, inset_a=inset)
-        if kind == "affine":
-            return DensitySpec.affine(*params, domain=rect, inset_a=inset)
-        if kind == "bump":
-            cx, cy, base, amp, rad = params
-            return DensitySpec.radial_bump(complex(cx, cy), base, amp, rad,
-                                           domain=rect, inset_a=inset)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad density spec {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown density kind in {text!r}")
+        return DensitySpec(kind, params, Rect(*(float(v) for v in domain.split(","))), inset)
 
 
 def _nav_spec(args) -> NavSpec:
-    kind = NavKind(args.kind)
-    try:
-        return NavSpec(kind=kind, theta=args.theta, p_theta=args.p_theta,
-                       alpha=getattr(args, "alpha", 0.0),
-                       north_seed=getattr(args, "north_seed", None))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with config_errors():
+        return NavSpec(kind=args.kind, theta=args.theta, p_theta=args.p_theta,
+                       alpha=args.alpha, north_seed=args.north_seed,
+                       max_steps=getattr(args, "steps", None))
 
 
 def _add_density_args(p: argparse.ArgumentParser) -> None:
@@ -143,17 +132,18 @@ def _get_points(args):
 
 def _cmd_navigate(args) -> int:
     spec = _nav_spec(args)
-    ps = _get_points(args)
+    directed = spec.kind in DIRECTED_KINDS
+    # an argument the kind would drop is refused, not ignored
+    if (args.t is None) != directed:
+        raise ConfigError(f"{spec.kind.value} {'takes no' if directed else 'needs'} --t")
+    if args.steps is not None and not directed:
+        raise ConfigError(f"{spec.kind.value} takes no --steps (a directed step budget)")
     s = _parse_point(args.s)
-    if spec.kind in DIRECTED_KINDS:
-        rec = run_directed(spec, s, ps, stop_after=args.steps)
-    else:
-        if args.t is None:
-            raise ConfigError(f"{spec.kind.value} needs --t")
-        rec = run(spec, s, _parse_point(args.t), ps)
+    t = None if directed else _parse_point(args.t)
+    ps = _get_points(args)
+    rec = run_directed(spec, s, ps) if directed else run(spec, s, t, ps)
     print(json.dumps(record_to_dict(rec), indent=2))
     if args.svg:
-        from .harness import render_svg
         render_svg(args.svg, ps=ps, paths=[rec])
     return 0
 
@@ -163,11 +153,12 @@ def _cmd_limits(args) -> int:
     if spec.kind in DIRECTED_KINDS:
         raise ConfigError("constants tables cover targeted kinds; "
                           "directed laws are estimated by mc_constants")
+    if (args.s is None) != (args.t is None):
+        raise ConfigError("a pair prediction needs both --s and --t")
     out = constants(spec.kind, spec.theta).as_dict()
-    if args.s and args.t:
+    if args.s is not None:
         dens = _parse_density(args.density, args.domain, args.inset)
-        s = _parse_point(args.s)
-        t = _parse_point(args.t)
+        s, t = _parse_point(args.s), _parse_point(args.t)
         if spec.kind in CROSS_KINDS:
             length, nb, _ = predict_cross(spec.kind, spec.p_theta, s, t, dens)
         else:
@@ -179,23 +170,11 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = ExperimentConfig.from_json(args.config)
-    updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.csv:
-        updates["csv_path"] = args.csv
-    if args.json_out:
-        updates["json_path"] = args.json_out
-    if args.svg:
-        updates["svg_path"] = args.svg
-    if updates:
-        from dataclasses import replace
-        cfg = replace(cfg, **updates)
-    # a sweep with no (n, seed) cell has no rows to summarize
-    if not (cfg.n_values and cfg.seeds_per_n):
-        raise ConfigError(f"the config has no cells: n_values {list(cfg.n_values)!r}, "
-                          f"seeds_per_n {cfg.seeds_per_n!r}")
+    overrides = {"master_seed": args.seed, "csv_path": args.csv,
+                 "json_path": args.json_out, "svg_path": args.svg}
+    cfg = replace(ExperimentConfig.from_json(args.config),
+                  **{k: v for k, v in overrides.items() if v is not None})
+    cfg.check_cells()        # the summary printed below needs rows
     rows = run_experiment(cfg, workers=args.workers)
     print(json.dumps(summarize(rows), indent=2, sort_keys=True))
     return 0
@@ -237,10 +216,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except GeonavError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GeonavError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ infimum so the limiting flow field stays well defined:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,8 +29,8 @@ class Rect:
     y1: float
 
     def __post_init__(self):
-        if not (self.x1 > self.x0 and self.y1 > self.y0):
-            raise ValueError("rectangle must have positive width and height")
+        if not (0.0 < self.width < math.inf and 0.0 < self.height < math.inf):
+            raise ValueError(f"rectangle must have finite positive width and height: {self!r}")
 
     @property
     def width(self) -> float:
@@ -54,20 +54,25 @@ class Rect:
                 and self.y0 + inset <= z.imag <= self.y1 - inset)
 
     def inset(self, a: float) -> "Rect":
-        if 2.0 * a >= min(self.width, self.height):
-            raise ValueError("inset too large for domain")
+        # too large an ``a`` leaves no positive width or height: Rect refuses it
         return Rect(self.x0 + a, self.y0 + a, self.x1 - a, self.y1 - a)
 
 
 UNIT_SQUARE = Rect(0.0, 0.0, 1.0, 1.0)
 
 
+_PARAM_COUNTS = {"constant": 1, "affine": 3, "bump": 5}     # len(params) by kind
+
+
 @dataclass(frozen=True)
 class DensitySpec:
     """A Lipschitz intensity profile f > 0 on a rectangle.
 
-    ``inset_a`` defines the working inset: predictions and pair filters only
-    trust trajectories staying at distance >= inset_a from the border.
+    ``params`` is ``(c,)``, ``(a, b, c)`` or ``(cx, cy, base, amplitude,
+    radius)`` by kind, all finite.  ``inset_a`` defines the working inset:
+    predictions and pair filters only trust trajectories staying at distance
+    >= inset_a from the border.  Every rule is checked here; the named
+    constructors and ``from_dict`` only convert, with the fields' defaults.
     """
 
     kind: str
@@ -77,10 +82,23 @@ class DensitySpec:
     _bounds: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("constant", "affine", "bump"):
+        count = _PARAM_COUNTS.get(self.kind)
+        if count is None:
             raise ValueError(f"unknown density kind {self.kind!r}")
+        if len(self.params) != count:
+            raise ValueError(f"a {self.kind} density takes {count} params, got {self.params!r}")
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"params must be finite, got {self.params!r}")
         if not 0.0 < self.inset_a < 0.5 * min(self.domain.width, self.domain.height):
             raise ValueError("inset_a must be positive and below half the min side")
+        if self.kind == "bump":
+            cx, cy, _, _, radius = self.params
+            d = self.domain
+            # ``integral`` counts the whole disk's mass
+            if not (radius > 0.0 and d.x0 <= cx - radius and cx + radius <= d.x1
+                    and d.y0 <= cy - radius and cy + radius <= d.y1):
+                raise ValueError(f"a bump needs radius > 0 and its disk inside the domain, "
+                                 f"got radius {radius!r} at ({cx!r}, {cy!r})")
         object.__setattr__(self, "_bounds", self._compute_bounds())
         if self.m_f <= 0.0:
             raise ValueError("density must have a positive infimum on the domain")
@@ -88,25 +106,21 @@ class DensitySpec:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, c: float, domain: Rect = UNIT_SQUARE, inset_a: float = 0.05):
-        return cls("constant", (float(c),), domain, inset_a)
+    def constant(cls, c: float, **region) -> "DensitySpec":
+        return cls("constant", (float(c),), **region)
 
     @classmethod
-    def affine(cls, a: float, b: float, c: float,
-               domain: Rect = UNIT_SQUARE, inset_a: float = 0.05):
-        return cls("affine", (float(a), float(b), float(c)), domain, inset_a)
+    def affine(cls, a: float, b: float, c: float, **region) -> "DensitySpec":
+        return cls("affine", (float(a), float(b), float(c)), **region)
 
     @classmethod
     def radial_bump(cls, center, base: float, amplitude: float, radius: float,
-                    domain: Rect = UNIT_SQUARE, inset_a: float = 0.05):
+                    **region) -> "DensitySpec":
+        """A bump at ``center`` (complex or ``(x, y)``); the spec refuses a
+        radius <= 0 and a disk that leaves the domain."""
         z = as_point(center)
-        if radius <= 0.0:
-            raise ValueError("bump radius must be > 0")
-        if not (domain.x0 <= z.real - radius and z.real + radius <= domain.x1
-                and domain.y0 <= z.imag - radius and z.imag + radius <= domain.y1):
-            raise ValueError("bump disk must lie inside the domain")
         return cls("bump", (z.real, z.imag, float(base), float(amplitude), float(radius)),
-                   domain, inset_a)
+                   **region)
 
     # -- evaluation --------------------------------------------------------
 
@@ -189,13 +203,10 @@ class DensitySpec:
     def normalized(self) -> "DensitySpec":
         """Same profile rescaled to integrate to 1 over the domain."""
         z = self.integral
-        if self.kind == "constant":
-            return DensitySpec("constant", (self.params[0] / z,), self.domain, self.inset_a)
-        if self.kind == "affine":
-            a, b, c = self.params
-            return DensitySpec("affine", (a / z, b / z, c / z), self.domain, self.inset_a)
-        cx, cy, base, amp, rad = self.params
-        return DensitySpec("bump", (cx, cy, base / z, amp / z, rad), self.domain, self.inset_a)
+        # a bump's centre and radius are lengths: only base and amplitude scale
+        levels = range(2, 4) if self.kind == "bump" else range(len(self.params))
+        return replace(self, params=tuple(p / z if i in levels else p
+                                          for i, p in enumerate(self.params)))
 
     # -- serialization -----------------------------------------------------
 
@@ -206,6 +217,8 @@ class DensitySpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DensitySpec":
-        x0, y0, x1, y1 = obj["domain"]
-        return cls(obj["kind"], tuple(obj["params"]), Rect(x0, y0, x1, y1),
-                   obj.get("inset_a", 0.05))
+        """The spec of ``to_dict``'s form; ``domain`` and ``inset_a`` may be left out."""
+        args = dict(obj, params=tuple(map(float, obj["params"])))
+        if "domain" in obj:
+            args["domain"] = Rect(*map(float, obj["domain"]))
+        return cls(**args)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class GeonavError(Exception):
     """Base class for all package errors."""
@@ -33,13 +35,25 @@ class GammaLeavesInset(GeonavError):
     """Raised when the two-leg limit polyline exits the inset domain."""
 
 
-class NoValidPairs(GeonavError):
-    """Raised when pair generation filters away every candidate pair."""
-
-
 class EmptyInput(GeonavError):
     """Raised when an aggregation is asked to summarize nothing."""
 
 
 class ConfigError(GeonavError):
     """Raised for malformed experiment configurations or CLI arguments."""
+
+
+class NoValidPairs(ConfigError):
+    """Raised when pair generation filters away every candidate pair: a
+    config error, since the config alone (its pairs or lattice step, kind
+    and inset) decides it."""
+
+
+@contextmanager
+def config_errors(prefix: str = ""):
+    """Re-raise a TypeError, ValueError or OutOfRangeTheta from a reader or a
+    constructor as a ConfigError, its message led by ``prefix`` (the field)."""
+    try:
+        yield
+    except (TypeError, ValueError, OutOfRangeTheta) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc

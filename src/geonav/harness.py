@@ -14,18 +14,17 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .density import DensitySpec, Rect
-from .errors import ConfigError, EmptyInput, NoValidPairs, OutOfRangeTheta, StepOutOfDomain
+from .errors import ConfigError, EmptyInput, NoValidPairs, StepOutOfDomain, config_errors
 from .geometry import CrossParams, as_point, gamma_path, hausdorff_distance
 # bench/tracing.py wraps harness.predict_cost by name, so the import stays
 from .limits import (_check_step_budget, _legs, check_theta, default_step, hop_moment,
                      limit_path_in_inset, predict_cost, predict_cross, predict_straight)
-from .navigation import (CROSS_KINDS, DIRECTED_KINDS, NavKind, NavSpec,
-                         costs, run)
+from .navigation import CROSS_KINDS, DIRECTED_KINDS, NavSpec, costs, run, whole_number
 from .points import navmax, sample_ppp
 
 __all__ = [
@@ -38,6 +37,9 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep's inputs.  Every rule is checked here, before any sampling,
+    and every default is the field's own: ``from_dict`` only converts."""
+
     density: DensitySpec
     nav: NavSpec
     n_values: tuple
@@ -59,64 +61,47 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+        object.__setattr__(self, "n_values", tuple(self.n_values))
+        object.__setattr__(self, "exponents", tuple(self.exponents))
         if not all(math.isfinite(n) and n > 0.0 for n in self.n_values):
             raise ConfigError(f"n_values must be finite and > 0, got {self.n_values!r}")
-        if self.seeds_per_n < 0:
-            raise ConfigError(f"seeds_per_n must be >= 0, got {self.seeds_per_n!r}")
-        if not all(0.0 <= g < math.inf for g in self.exponents):
-            raise ConfigError(f"exponents must be finite and >= 0, got {self.exponents!r}")
-        if self.max_pairs < 1:
-            raise ConfigError(f"max_pairs must be >= 1, got {self.max_pairs!r}")
-        # directed kinds are refused by run_experiment: they have no target
-        if self.nav.kind not in DIRECTED_KINDS:
-            try:
-                check_theta(self.nav.kind, self.nav.theta)
-            except OutOfRangeTheta as exc:
-                raise ConfigError(str(exc)) from exc
-            # every cost rate must be a finite float, e.g. not Gamma(201)
+        with config_errors():
+            for name, minimum in (("seeds_per_n", 0), ("max_pairs", 1), ("master_seed", 0)):
+                object.__setattr__(self, name, whole_number(name, getattr(self, name), minimum))
+        if self.pairs is None and self.grid_step is None:
+            raise ConfigError("a config needs explicit pairs or a grid_step")
+        if self.pairs is not None:
+            with config_errors("pairs: "):
+                object.__setattr__(self, "pairs", tuple((as_point(s), as_point(t))
+                                                        for s, t in self.pairs))
+        if self.json_path or self.svg_path:
+            self.check_cells()
+        if self.nav.kind in DIRECTED_KINDS:
+            raise ConfigError("nav: a sweep needs a targeted kind; directed kinds have no target")
+        with config_errors("nav: "):
+            check_theta(self.nav.kind, self.nav.theta)
+        # every cost rate must be a finite float: g finite and >= 0, not Gamma(201)
+        with config_errors("exponents: "):
             for g in self.exponents:
-                try:
-                    hop_moment(self.nav.kind, self.nav.theta, g)
-                except ValueError as exc:
-                    raise ConfigError(f"exponents: {exc}") from exc
+                hop_moment(self.nav.kind, self.nav.theta, g)
+
+    def check_cells(self) -> None:
+        """Refuse a config with no (n, seed) cell: no rows to summarize or draw."""
+        if not (self.n_values and self.seeds_per_n):
+            raise ConfigError(f"the config has no cells: n_values {list(self.n_values)!r}, "
+                              f"seeds_per_n {self.seeds_per_n!r}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        try:
-            _refuse_unknown_keys(obj, cls, "")
-            _refuse_unknown_keys(obj["density"], DensitySpec, "density ")
-            _refuse_unknown_keys(obj["nav"], NavSpec, "nav ")
-            density = DensitySpec.from_dict(obj["density"])
-            try:
-                nav = NavSpec(kind=NavKind(obj["nav"]["kind"]),
-                              theta=obj["nav"].get("theta"),
-                              p_theta=obj["nav"].get("p_theta"),
-                              alpha=obj["nav"].get("alpha", 0.0),
-                              north_seed=obj["nav"].get("north_seed"),
-                              max_steps=obj["nav"].get("max_steps"))
-            except ValueError as exc:
-                raise ConfigError(f"nav: {exc}") from exc
-            pairs = obj.get("pairs")
-            if pairs is not None:
-                pairs = tuple((complex(*s), complex(*t)) for s, t in pairs)
-            return cls(density=density, nav=nav,
-                       n_values=tuple(obj["n_values"]),
-                       seeds_per_n=int(obj["seeds_per_n"]),
-                       pairs=pairs,
-                       grid_step=obj.get("grid_step"),
-                       max_pairs=int(obj.get("max_pairs", 16)),
-                       exponents=tuple(obj.get("exponents", (0.0, 1.0))),
-                       master_seed=int(obj.get("master_seed", 0)),
-                       euler_h=obj.get("euler_h"),
-                       hausdorff_resolution=float(obj.get("hausdorff_resolution", 1e-3)),
-                       navmax_grid_step=obj.get("navmax_grid_step"),
-                       csv_path=obj.get("csv_path"),
-                       json_path=obj.get("json_path"),
-                       svg_path=obj.get("svg_path"))
-        except KeyError as exc:
-            raise ConfigError(f"config is missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        with config_errors("bad config value: "):
+            _check_keys(obj, cls, "")
+            for key, spec in (("density", DensitySpec), ("nav", NavSpec)):
+                _check_keys(obj[key], spec, f"{key} ")
+            with config_errors("density: "):
+                density = DensitySpec.from_dict(obj["density"])
+            with config_errors("nav: "):
+                nav = NavSpec(**obj["nav"])
+            return cls(**dict(obj, density=density, nav=nav))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -124,12 +109,16 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-def _refuse_unknown_keys(obj: dict, spec, where: str) -> None:
-    """Refuse the keys of ``obj`` that name no init field of the dataclass
-    ``spec``: a misspelled optional key would otherwise be dropped."""
-    unknown = sorted(set(obj) - {f.name for f in fields(spec) if f.init})
+def _check_keys(obj: dict, spec, where: str) -> None:
+    """Refuse an ``obj`` with a key that names no init field of the dataclass
+    ``spec`` (a misspelled optional key is not dropped) or without a required one."""
+    init = [f for f in fields(spec) if f.init]
+    unknown = sorted(set(obj) - {f.name for f in init})
     if unknown:
         raise ConfigError(f"unknown {where}config key {', '.join(map(repr, unknown))}")
+    missing = [f.name for f in init if f.default is MISSING and f.name not in obj]
+    if missing:
+        raise ConfigError(f"config is missing {where}key {missing[0]!r}")
 
 
 def generate_pairs(config: ExperimentConfig) -> list:
@@ -142,13 +131,10 @@ def generate_pairs(config: ExperimentConfig) -> list:
         return limit_path_in_inset(dens, nav.kind, nav.p_theta, s, t)
 
     if config.pairs is not None:
-        pairs = [(as_point(s), as_point(t)) for s, t in config.pairs]
-        pairs = [p for p in pairs if admissible(*p)]
+        pairs = [p for p in config.pairs if admissible(*p)]
         if not pairs:
-            raise NoValidPairs("no explicit pair passes the inset filter")
+            raise NoValidPairs("pairs: no explicit pair passes the inset filter")
         return pairs
-    if config.grid_step is None:
-        raise NoValidPairs("need either explicit pairs or a positive grid_step")
     dom = dens.domain
     a = dens.inset_a
     # accumulated float error must not push border lattice points outside
@@ -167,7 +153,7 @@ def generate_pairs(config: ExperimentConfig) -> list:
                 if len(out) >= config.max_pairs:
                     return out
     if not out:
-        raise NoValidPairs("inset filter removed every lattice pair")
+        raise NoValidPairs("grid_step: the inset filter removed every lattice pair")
     return out
 
 
@@ -287,15 +273,8 @@ def _run_cell(config: ExperimentConfig, n_idx: int, seed_idx: int,
 def run_experiment(config: ExperimentConfig, workers: int = 1):
     """All (n, seed) cells over the generated pairs, rows in deterministic
     (n, seed, pair) order regardless of execution order."""
-    if config.nav.kind in DIRECTED_KINDS:
-        raise ConfigError("directed kinds have no target; sweeps need a "
-                          "targeted navigation kind")
     cells = [(i, j) for i in range(len(config.n_values))
              for j in range(config.seeds_per_n)]
-    # with no (n, seed) cell there are no rows to summarize or draw
-    if not cells and (config.json_path or config.svg_path):
-        raise ConfigError(f"the config has no cells: n_values {list(config.n_values)!r}, "
-                          f"seeds_per_n {config.seeds_per_n!r}")
     pairs = generate_pairs(config)
     preds = _predictions(config, pairs) if cells else []
     if workers > 1:

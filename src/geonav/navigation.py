@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -70,6 +71,15 @@ def in_guarded_range(kind: NavKind, theta: float) -> bool:
     return 0.0 < theta <= lim * (1.0 + 1e-5) if closed else 0.0 < theta < lim - EPS
 
 
+def whole_number(name: str, value, minimum: int) -> int:
+    """``value`` as an int if a whole number >= ``minimum`` (2.0 reads as 2), else ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class NavSpec:
     """Navigation kind plus its sector angle.
@@ -77,8 +87,9 @@ class NavSpec:
     Cross and random-north kinds take ``p_theta`` (the angle is
     ``2*pi/p_theta``); straight and directed kinds take ``theta`` directly
     and refuse a ``p_theta``.
-    ``alpha`` is the constant axis of directed kinds; ``north_seed`` seeds
-    the per-point axis offsets of random-north kinds.
+    ``alpha`` (finite) is the constant axis of directed kinds; ``north_seed``
+    (whole, >= 0) seeds the per-point axis offsets of random-north kinds;
+    ``max_steps`` (whole, >= 1) overrides the point set's step budget.
     """
 
     kind: NavKind
@@ -92,8 +103,7 @@ class NavSpec:
         kind = NavKind(self.kind)
         object.__setattr__(self, "kind", kind)
         if kind in CROSS_KINDS or kind in NORTH_KINDS:
-            if self.p_theta is None or self.p_theta < 3:
-                raise ValueError(f"{kind.value} needs p_theta >= 3")
+            object.__setattr__(self, "p_theta", whole_number("p_theta", self.p_theta, 3))
             object.__setattr__(self, "theta", TWO_PI / self.p_theta)
         else:
             if self.theta is None or not 0.0 < self.theta < TWO_PI:
@@ -103,8 +113,13 @@ class NavSpec:
             if kind not in DISK_KINDS and not self.theta <= math.pi + EPS:
                 # the projection cap needs tan(theta/2) >= 0
                 raise ValueError(f"{kind.value} needs theta <= pi")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         if kind in NORTH_KINDS and self.north_seed is None:
             object.__setattr__(self, "north_seed", 0)
+        for name, minimum in (("north_seed", 0), ("max_steps", 1)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, whole_number(name, getattr(self, name), minimum))
 
     @property
     def shape(self) -> str:

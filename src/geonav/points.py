@@ -749,13 +749,14 @@ def load_points(path) -> PointSet:
                 rows.append((float(x), float(y)))
     try:
         kind, params = meta["density"].split(":")
-        x0, y0, x1, y1 = (float(v) for v in meta["domain"].split(","))
-        inset_a, n, seed, model = (float(meta["inset_a"]), float(meta["n"]),
-                                   int(meta["seed"]), meta["model"])
+        dens = DensitySpec(kind, tuple(float(p) for p in params.split(",")),
+                           Rect(*(float(v) for v in meta["domain"].split(","))),
+                           float(meta["inset_a"]))
+        n, seed, model = float(meta["n"]), int(meta["seed"]), meta["model"]
     except KeyError as exc:
         raise ConfigError(f"{path}: header has no {exc} field") from exc
-    dens = DensitySpec(kind, tuple(float(p) for p in params.split(",")),
-                       Rect(x0, y0, x1, y1), inset_a)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad header: {exc}") from exc
     model = ("ppp", n) if model == "ppp" else ("iid", int(n))
     return PointSet(np.array(rows, dtype=float).reshape(-1, 2), dens, seed, model)
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from geonav import ConfigError, DensitySpec, cli, load_points
 from geonav.cli import main
 from geonav.points import NAVMAX_DIRECTIONS
 
@@ -162,7 +163,19 @@ def test_experiment_missing_key_is_config_error(tmp_path, capsys):
     {"exponents": [400.0], "nav": {"kind": "straight-yao", "theta": 1.2}},
     {"exponents": [math.inf]}, {"euler_h": math.inf}, {"hausdorff_resolution": math.inf},
     {"navmax_grid_step": math.inf}, {"grid_step": math.inf, "pairs": None},
-    {"nav": {"kind": "straight-t", "theta": math.pi / 2, "p_theta": 6}}])
+    {"nav": {"kind": "straight-t", "theta": math.pi / 2, "p_theta": 6}},
+    # no pair source, or no pair that stays in the inset
+    {"pairs": None}, {"pairs": [[[0.01, 0.5], [0.5, 0.5]]]},
+    # a bump of radius 0, a bump disk over the edge, a NaN param, an infinite corner
+    {"density": {"kind": "bump", "params": [0.5, 0.5, 1, 1, 0], "domain": [0, 0, 1, 1]}},
+    {"density": {"kind": "bump", "params": [0.9, 0.5, 1, 1, 0.3], "domain": [0, 0, 1, 1]}},
+    {"density": {"kind": "constant", "params": [math.nan], "domain": [0, 0, 1, 1]}},
+    {"density": {"kind": "constant", "params": [1.0], "domain": [0, 0, 1e400, 1]}},
+    {"master_seed": -1},
+    {"nav": {"kind": "straight-t", "theta": math.pi / 2, "north_seed": -1}},
+    {"nav": {"kind": "straight-t", "theta": math.pi / 2, "max_steps": -5}},
+    {"nav": {"kind": "straight-t", "theta": math.pi / 2, "max_steps": 0}},
+    {"seeds_per_n": 1.5}])
 def test_experiment_invalid_value_is_config_error(tmp_path, capsys, change):
     # refused before any sampling or prediction
     cfg = write_config(tmp_path, **change)
@@ -171,6 +184,7 @@ def test_experiment_invalid_value_is_config_error(tmp_path, capsys, change):
     assert time.perf_counter() - t0 < 5.0
     assert code == 1 and out == ""
     assert err.startswith("error:") and next(iter(change)) in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("change,key", [
@@ -193,6 +207,53 @@ def test_experiment_step_too_fine_for_the_budget_fails_fast(tmp_path, capsys,
     code, out, err = run_cli(capsys, "experiment", "--config", cfg)
     assert code == 1 and out == ""
     assert "steps" in err and calls == []
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["limits", "--kind", "straight-t", "--theta", "1.5708", "--s", "0.2,0.2"], "--t"),
+    (["limits", "--kind", "straight-t", "--theta", "1.5708", "--t", "0.8,0.8"], "--s"),
+    (["navigate", "--kind", "directed-t", "--theta", "1.0", "--s", "0.1,0.5",
+      "--t", "0.9,0.5"], "--t"),
+    (["navigate", "--kind", "straight-t", "--theta", "1.5708", "--s", "0.2,0.5",
+      "--t", "0.8,0.5", "--steps", "1"], "--steps"),
+    (["navigate", "--kind", "directed-t", "--theta", "1.0", "--s", "0.1,0.5",
+      "--steps", "0"], "max_steps"),
+    (["navigate", "--kind", "random-north-t", "--p-theta", "6", "--north-seed", "-1",
+      "--s", "0.2,0.5", "--t", "0.8,0.5"], "north_seed")])
+def test_argument_the_command_would_drop_is_config_error(monkeypatch, capsys, argv, flag):
+    # refused before any point is sampled
+    def refuse(*args, **kwargs):
+        raise AssertionError("points were sampled")
+    monkeypatch.setattr(cli, "sample_ppp", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and flag in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("params", [
+    (0.5, 0.5, 1.0, 1.0, 0.0),          # radius 0
+    (0.9, 0.5, 1.0, 1.0, 0.3),          # disk over the domain's edge
+    (0.5, 0.5, math.nan, 1.0, 0.3)])
+def test_every_density_reader_refuses_the_same_bump(tmp_path, capsys, params):
+    """The constructor, radial_bump, from_dict, a point-file header and
+    ``--density`` hold one rule: the one DensitySpec checks."""
+    cx, cy, base, amp, radius = params
+    text = ",".join(map(repr, params))
+    with pytest.raises(ValueError):
+        DensitySpec("bump", params)
+    with pytest.raises(ValueError):
+        DensitySpec.radial_bump((cx, cy), base, amp, radius)
+    with pytest.raises(ValueError):
+        DensitySpec.from_dict({"kind": "bump", "params": list(params)})
+    pts = tmp_path / "pts.csv"
+    pts.write_text("# model=ppp n=100.0 seed=0\n# domain=0.0,0.0,1.0,1.0 inset_a=0.05\n"
+                   f"# density=bump:{text}\nx,y\n0.5,0.5\n")
+    with pytest.raises(ConfigError, match="header"):
+        load_points(pts)
+    code, out, err = run_cli(capsys, "sample", "--n", "100", "--density", f"bump:{text}",
+                             "--out", str(tmp_path / "out.csv"))
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_diagnose_points_without_header_is_config_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -163,6 +164,32 @@ def test_config_from_dict_refuses_unknown_keys(where, key):
     (obj if where is None else obj[where])[key] = 1
     with pytest.raises(ConfigError, match=f"unknown {where or ''}.*'{key}'"):
         ExperimentConfig.from_dict(obj)
+
+
+def test_config_from_dict_defaults_are_the_fields_defaults():
+    # a key left out reads as its field's default, at every level
+    cfg = ExperimentConfig.from_dict({
+        "density": {"kind": "constant", "params": [1.0]},
+        "nav": {"kind": "straight-t", "theta": 1.5},
+        "n_values": [400.0], "seeds_per_n": 1, "grid_step": 0.2})
+    for obj, given in ((cfg, {"density", "nav", "n_values", "seeds_per_n", "grid_step"}),
+                       (cfg.density, {"kind", "params"}), (cfg.nav, {"kind", "theta"})):
+        for f in fields(obj):
+            if f.init and f.name not in given:
+                assert getattr(obj, f.name) == f.default, f.name
+    assert cfg.density == DensitySpec.constant(1.0)
+
+
+def test_whole_number_fields_read_integral_floats():
+    cfg = small_config(seeds_per_n=2.0, max_pairs=3.0, master_seed=5.0,
+                       nav=NavSpec(kind=NavKind.THETA, p_theta=6.0, max_steps=40.0,
+                                   north_seed=1.0))
+    got = (cfg.seeds_per_n, cfg.max_pairs, cfg.master_seed, cfg.nav.p_theta,
+           cfg.nav.max_steps, cfg.nav.north_seed)
+    assert got == (2, 3, 5, 6, 40, 1) and all(type(v) is int for v in got)
+    for bad in (dict(seeds_per_n=1.5), dict(max_pairs=True), dict(master_seed=-1)):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            small_config(**bad)
 
 
 # -- experiment sweep --------------------------------------------------------------
@@ -378,10 +405,9 @@ def test_run_experiment_writes_outputs(tmp_path):
 
 
 def test_run_experiment_rejects_directed_kinds():
-    from geonav import ConfigError
-    cfg = small_config(nav=NavSpec(kind=NavKind.DIRECTED_THETA, theta=1.0))
+    # the config refuses the kind when it is built, before any run
     with pytest.raises(ConfigError):
-        run_experiment(cfg)
+        run_experiment(small_config(nav=NavSpec(kind=NavKind.DIRECTED_THETA, theta=1.0)))
 
 
 def test_config_roundtrip_from_json(tmp_path):
