@@ -5,11 +5,12 @@ prints the path record as JSON), ``limits`` (constants and per-pair
 predictions), ``experiment`` (full sweep from a JSON config), ``diagnose``
 (navmax / maxball / r_min of a point-set file).
 
-Arguments are checked by the types they build (``DensitySpec``, ``NavSpec``,
-``ExperimentConfig``); one a command would drop (``--t`` of a directed kind,
-``--steps`` of a targeted one, a lone ``--s`` or ``--t`` of ``limits``) is
-refused.  Exit codes: 0 success, 1 configuration error (before any
-sampling), 2 runtime error.
+Arguments are checked by the type or function they feed (``DensitySpec``,
+``NavSpec``, ``ExperimentConfig``, the samplers' ``n``, ``constants``'s kind
+and angle, the predictions' inset rule); one a command would drop (``--t``
+of a directed kind, a lone ``--s`` or ``--t`` of ``limits``) is refused.
+``--steps`` is the hop budget of every kind.  Exit codes: 0 success, 1
+refused input (before any sampling), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--s", required=True, help="start 'x,y'")
     p.add_argument("--t", help="target 'x,y' (omit for directed kinds)")
-    p.add_argument("--steps", type=int, default=None, help="directed step budget")
+    p.add_argument("--steps", type=int, default=None,
+                   help="hop budget (default: from the point set)")
     p.add_argument("--svg", help="also draw the run to this SVG file")
 
     p = sub.add_parser("limits", help="print constants (and pair predictions) as JSON")
@@ -114,10 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sample(args) -> int:
     dens = _parse_density(args.density, args.domain, args.inset)
-    if args.model == "ppp":
-        ps = sample_ppp(dens, args.n, args.seed)
-    else:
-        ps = sample_iid(dens, int(args.n), args.seed)
+    with config_errors():
+        ps = (sample_ppp if args.model == "ppp" else sample_iid)(dens, args.n, args.seed)
     save_points(ps, args.out)
     print(f"wrote {len(ps)} points to {args.out}")
     return 0
@@ -127,7 +127,8 @@ def _get_points(args):
     if args.points:
         return load_points(args.points)
     dens = _parse_density(args.density, args.domain, args.inset)
-    return sample_ppp(dens, args.n, args.seed)
+    with config_errors():
+        return sample_ppp(dens, args.n, args.seed)
 
 
 def _cmd_navigate(args) -> int:
@@ -136,8 +137,6 @@ def _cmd_navigate(args) -> int:
     # an argument the kind would drop is refused, not ignored
     if (args.t is None) != directed:
         raise ConfigError(f"{spec.kind.value} {'takes no' if directed else 'needs'} --t")
-    if args.steps is not None and not directed:
-        raise ConfigError(f"{spec.kind.value} takes no --steps (a directed step budget)")
     s = _parse_point(args.s)
     t = None if directed else _parse_point(args.t)
     ps = _get_points(args)
@@ -150,19 +149,18 @@ def _cmd_navigate(args) -> int:
 
 def _cmd_limits(args) -> int:
     spec = _nav_spec(args)
-    if spec.kind in DIRECTED_KINDS:
-        raise ConfigError("constants tables cover targeted kinds; "
-                          "directed laws are estimated by mc_constants")
+    with config_errors():
+        out = constants(spec.kind, spec.theta).as_dict()
     if (args.s is None) != (args.t is None):
         raise ConfigError("a pair prediction needs both --s and --t")
-    out = constants(spec.kind, spec.theta).as_dict()
     if args.s is not None:
         dens = _parse_density(args.density, args.domain, args.inset)
         s, t = _parse_point(args.s), _parse_point(args.t)
-        if spec.kind in CROSS_KINDS:
-            length, nb, _ = predict_cross(spec.kind, spec.p_theta, s, t, dens)
-        else:
-            length, nb, _ = predict_straight(spec.kind, spec.theta, s, t, dens)
+        with config_errors("--s/--t: "):
+            if spec.kind in CROSS_KINDS:
+                length, nb, _ = predict_cross(spec.kind, spec.p_theta, s, t, dens)
+            else:
+                length, nb, _ = predict_straight(spec.kind, spec.theta, s, t, dens)
         out["pred_length"] = length
         out["pred_nb_over_sqrt_n"] = nb
     print(json.dumps(out, indent=2, sort_keys=True))

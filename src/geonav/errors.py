@@ -51,9 +51,10 @@ class NoValidPairs(ConfigError):
 
 @contextmanager
 def config_errors(prefix: str = ""):
-    """Re-raise a TypeError, ValueError or OutOfRangeTheta from a reader or a
-    constructor as a ConfigError, its message led by ``prefix`` (the field)."""
+    """Re-raise a TypeError, ValueError, OutOfRangeTheta or GammaLeavesInset
+    from a reader, a constructor or a check of outside input as a
+    ConfigError, its message led by ``prefix`` (the field)."""
     try:
         yield
-    except (TypeError, ValueError, OutOfRangeTheta) as exc:
+    except (TypeError, ValueError, OutOfRangeTheta, GammaLeavesInset) as exc:
         raise ConfigError(f"{prefix}{exc}") from exc

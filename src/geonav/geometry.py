@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,15 @@ def as_point(p) -> complex:
     return z
 
 
+def whole_number(name: str, value, minimum: int) -> int:
+    """``value`` as an int if a whole number >= ``minimum`` (2.0 reads as 2), else ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def norm_angle(a: float) -> float:
     """Reduce an angle to ``[0, 2*pi)``."""
     a = math.fmod(a, TWO_PI)
@@ -55,13 +65,13 @@ def norm_angle(a: float) -> float:
 
 @dataclass(frozen=True)
 class CrossParams:
-    """Sector count ``p_theta >= 3``; the sector angle is ``2*pi/p_theta``."""
+    """Sector count ``p_theta``, a whole number >= 3; the sector angle is
+    ``2*pi/p_theta``."""
 
     p_theta: int
 
     def __post_init__(self):
-        if self.p_theta < 3:
-            raise ValueError("p_theta must be >= 3")
+        object.__setattr__(self, "p_theta", whole_number("p_theta", self.p_theta, 3))
 
     @property
     def theta(self) -> float:

@@ -20,11 +20,11 @@ import numpy as np
 
 from .density import DensitySpec, Rect
 from .errors import ConfigError, EmptyInput, NoValidPairs, StepOutOfDomain, config_errors
-from .geometry import CrossParams, as_point, gamma_path, hausdorff_distance
+from .geometry import CrossParams, as_point, gamma_path, hausdorff_distance, whole_number
 # bench/tracing.py wraps harness.predict_cost by name, so the import stays
 from .limits import (_check_step_budget, _legs, check_theta, default_step, hop_moment,
                      limit_path_in_inset, predict_cost, predict_cross, predict_straight)
-from .navigation import CROSS_KINDS, DIRECTED_KINDS, NavSpec, costs, run, whole_number
+from .navigation import CROSS_KINDS, DIRECTED_KINDS, NavSpec, costs, run
 from .points import navmax, sample_ppp
 
 __all__ = [
@@ -242,7 +242,7 @@ def _run_cell(config: ExperimentConfig, n_idx: int, seed_idx: int,
               pairs, preds) -> list:
     n = config.n_values[n_idx]
     ps = sample_ppp(config.density, n, _cell_seed(config, n_idx, seed_idx))
-    nm_step = config.navmax_grid_step or max(4.0 / math.sqrt(n * config.density.M_f), 0.02)
+    nm_step = config.navmax_grid_step or max(4.0 / math.sqrt(ps.rate), 0.02)
     nm = navmax(ps, config.nav.theta, nm_step) if len(ps) else float("nan")
     rows = []
     sqrt_n = math.sqrt(n)

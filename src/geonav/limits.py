@@ -26,18 +26,19 @@ independent oracle for the closed forms.
 One leg rule (``_legs``) gives the shape of every limit trajectory: the
 segment ``[s, t]`` for straight and random-north kinds, or the two legs
 through the corner for cross kinds, each leg with its own ``(lam, q)``
-constants.  ``predict_straight`` and ``predict_cross`` share one body over
-those legs: the length is the sum of ``q * |leg|``, the stage count the sum
-of the legs' hitting times, and the curve the legs' Euler walks glued end to
-end.  Given ``exponents``, each leg's curve walk also carries the coupled
-cost equation of every exponent, and the glued curve's ``end_costs`` adds
-the legs' costs in leg order; so a prediction walks each leg twice, once
-for its hitting time and once for the curve and the costs.
-``predict_cost`` returns the ``end_costs`` of the same glued curve walk.
-``euler_solve`` holds the one 2-D Euler loop: it records the density at
-each iterate, and each exponent's cost is folded from those densities after
-the walk, in the order an accumulator carried through the steps would add
-them.
+constants; it refuses, for every kind, a pair whose trajectory leaves the
+inset (``limit_path_in_inset``).  ``predict_straight`` and
+``predict_cross`` share one body over those legs: the length is the sum of
+``q * |leg|``, the stage count the sum of the legs' hitting times, and the
+curve the legs' Euler walks glued end to end.  Given ``exponents``, each
+leg's curve walk also carries the coupled cost equation of every exponent,
+and the glued curve's ``end_costs`` adds the legs' costs in leg order; so a
+prediction walks each leg twice, once for its hitting time and once for the
+curve and the costs.  ``predict_cost`` returns the ``end_costs`` of the
+same glued curve walk.  ``euler_solve`` holds the one 2-D Euler loop: it
+records the density at each iterate, and each exponent's cost is folded
+from those densities after the walk, in the order an accumulator carried
+through the steps would add them.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ from .density import DensitySpec
 from .errors import (GammaLeavesInset, OutOfRangeTheta, SegmentLeavesDomain,
                      StepOutOfDomain)
 from .geometry import CrossParams, as_point, corner_point, gamma_path
-from .navigation import DIRECTED_KINDS, NavKind, in_guarded_range, stage_samples
+from .navigation import (CROSS_KINDS, DIRECTED_KINDS, DISK_KINDS, NavKind, in_guarded_range,
+                         stage_samples)
 
 __all__ = [
     "ConstantsRow", "constants", "McConstants", "mc_constants",
@@ -108,10 +110,6 @@ def _q_bor_y(theta: float) -> float:
     return theta / math.sin(theta)
 
 
-_T_FAMILY = {NavKind.THETA, NavKind.STRAIGHT_THETA, NavKind.DIRECTED_THETA,
-             NavKind.RANDOM_NORTH_THETA}
-
-
 @functools.cache
 def _gauss_legendre() -> tuple:
     """The fixed 40-node Gauss-Legendre rule on [-1, 1] (Golub & Welsch
@@ -140,7 +138,7 @@ def hop_moment(kind, theta: float, g: float) -> float:
     if g == 0:
         return 1.0
     try:
-        if NavKind(kind) not in _T_FAMILY:
+        if NavKind(kind) in DISK_KINDS:
             val = (2.0 / theta) ** (g / 2.0) * math.gamma(1.0 + g / 2.0)
         elif g == 1:
             val = _c_bis_t(theta) * _q_bis_t(theta)
@@ -271,7 +269,7 @@ def mc_constants(kind, theta: float, samples: int, seed: int,
     calls it.
     """
     kind = NavKind(kind)
-    if kind not in (NavKind.DIRECTED_THETA, NavKind.DIRECTED_YAO):
+    if kind not in DIRECTED_KINDS:
         raise ValueError("mc_constants estimates directed-kind hop laws")
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
@@ -509,7 +507,7 @@ def limit_path_in_inset(density: DensitySpec, kind, p_theta: int | None, s, t) -
     """
     s = as_point(s)
     t = as_point(t)
-    if NavKind(kind) in (NavKind.YAO, NavKind.THETA):
+    if NavKind(kind) in CROSS_KINDS:
         path = gamma_path(s, t, CrossParams(p_theta))
     else:
         path = (s, t)
@@ -523,24 +521,21 @@ def _legs(kind, theta, p_theta, s, t, density: DensitySpec) -> list:
     Straight and random-north kinds have the one leg ``[s, t]`` at the
     bisector constants of ``theta``.  Cross kinds go along the bisector to
     the corner at ``(c_bis, q_bis)``, then along the border direction to
-    ``t`` at ``(c_bor, q_bor)``, with the sector angle ``2*pi/p_theta``;
-    they raise GammaLeavesInset when that polyline fails the inset rule.
-    Zero-length legs are dropped, so ``s == t`` has none.
+    ``t`` at ``(c_bor, q_bor)``, with the sector angle ``2*pi/p_theta``.
+    Every kind raises GammaLeavesInset when its trajectory fails the inset
+    rule.  Zero-length legs are dropped, so ``s == t`` has none.
     """
     kind = NavKind(kind)
     s = as_point(s)
     t = as_point(t)
-    if kind not in (NavKind.YAO, NavKind.THETA):
-        row = constants(kind, theta)
-        return [(s, t, row.c_bis, row.q_bis)] if s != t else []
-    if p_theta is None:
-        raise ValueError("cross kinds need p_theta")
-    cross = CrossParams(p_theta)
-    row = constants(kind, cross.theta)
+    cross = CrossParams(p_theta) if kind in CROSS_KINDS else None
+    row = constants(kind, theta if cross is None else cross.theta)
     if s == t:
         return []
     if not limit_path_in_inset(density, kind, p_theta, s, t):
-        raise GammaLeavesInset("limit polyline exits the inset domain")
+        raise GammaLeavesInset("limit trajectory exits the inset domain")
+    if cross is None:
+        return [(s, t, row.c_bis, row.q_bis)]
     i = corner_point(s, t, cross)
     legs = [(s, i, row.c_bis, row.q_bis), (i, t, row.c_bor, row.q_bor)]
     return [leg for leg in legs if leg[0] != leg[1]]
@@ -583,7 +578,7 @@ def predict_straight(kind, theta: float, s, t, density: DensitySpec,
     The curve's ``end_costs`` holds the limiting cost of each exponent in
     ``exponents``, folded from the curve's own walk; it equals
     ``predict_cost(kind, theta, exponents, s, t, density, h)``."""
-    if NavKind(kind) in (NavKind.YAO, NavKind.THETA):
+    if NavKind(kind) in CROSS_KINDS:
         raise ValueError("cross kinds use predict_cross")
     return _predict_path(kind, theta, _legs(kind, theta, None, s, t, density), s, density,
                          h, exponents)
@@ -599,7 +594,7 @@ def predict_cross(kind, p_theta: int, s, t, density: DensitySpec,
     ``exponents`` at the sector angle ``2*pi/p_theta``, folded from the legs'
     own walks; it equals ``predict_cost(kind, None, exponents, s, t, density,
     h, p_theta)``."""
-    if NavKind(kind) not in (NavKind.YAO, NavKind.THETA):
+    if NavKind(kind) not in CROSS_KINDS:
         raise ValueError("predict_cross is only for cross kinds")
     legs = _legs(kind, None, p_theta, s, t, density)
     return _predict_path(kind, 2.0 * math.pi / p_theta, legs, s, density, h, exponents)

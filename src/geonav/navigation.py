@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .geometry import EPS, TWO_PI, as_point, sector_of_angle
+from .geometry import EPS, TWO_PI, as_point, sector_of_angle, whole_number
 from .points import PointSet, nearest_in_sector
 
 __all__ = [
@@ -69,15 +68,6 @@ def in_guarded_range(kind: NavKind, theta: float) -> bool:
     """Whether ``theta`` lies in the guarded angle range of ``kind``."""
     lim, closed = _GUARDED_RANGES[kind]
     return 0.0 < theta <= lim * (1.0 + 1e-5) if closed else 0.0 < theta < lim - EPS
-
-
-def whole_number(name: str, value, minimum: int) -> int:
-    """``value`` as an int if a whole number >= ``minimum`` (2.0 reads as 2), else ValueError."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -237,29 +227,13 @@ def next_stop(spec: NavSpec, s, t, ps: PointSet, norths=None) -> complex:
     t = None if t is None else as_point(t)
     if spec.kind in NORTH_KINDS and norths is None:
         norths = norths_for(ps, spec.north_seed)
-    pos_id = _id_of(ps, s)
+    pos_id = ps.id_of(s)
     point, _ = _hop(spec, s, pos_id, t, ps, norths)
     return point
 
 
-def _id_of(ps: PointSet, p: complex) -> int:
-    """Smallest id of a stored point equal to p, else -1.
-
-    A stored point is filed in the cell that ``GridIndex.cell_of`` gives
-    for it, and the ids of a cell are ascending, so one cell is read."""
-    idx = ps.index
-    i, j = idx.cell_of(p.real, p.imag)
-    c = i * idx.ny + j
-    ids = idx.order[idx.starts[c]:idx.starts[c + 1]]
-    hits = ids[(ps.xs[ids] == p.real) & (ps.ys[ids] == p.imag)]
-    return int(hits[0]) if len(hits) else -1
-
-
 def _default_max_steps(ps: PointSet) -> int:
-    kind, n = ps.model
-    rate = n * ps.density.M_f
-    return max(64, math.ceil(50.0 * math.sqrt(max(rate, 1.0))
-                             * ps.density.domain.diameter))
+    return max(64, math.ceil(50.0 * math.sqrt(ps.rate) * ps.density.domain.diameter))
 
 
 def run(spec: NavSpec, s, t, ps: PointSet) -> PathRecord:
@@ -271,7 +245,7 @@ def run(spec: NavSpec, s, t, ps: PointSet) -> PathRecord:
     t = as_point(t)
     norths = norths_for(ps, spec.north_seed) if spec.kind in NORTH_KINDS else None
     stops = [s]
-    ids = [_id_of(ps, s)]
+    ids = [ps.id_of(s)]
     if s == t:
         return PathRecord(np.array([[s.real, s.imag]]), t, True, "reached", ids)
     limit = spec.max_steps or _default_max_steps(ps)
@@ -305,7 +279,7 @@ def run_directed(spec: NavSpec, s, ps: PointSet, stop_after: int | None = None) 
     budget = stop_after if stop_after is not None else (spec.max_steps or _default_max_steps(ps))
     inset = ps.density.inset_a
     stops = [s]
-    ids = [_id_of(ps, s)]
+    ids = [ps.id_of(s)]
     pos, pos_id = s, ids[0]
     reason = "step-limit"
     for _ in range(budget):
@@ -358,19 +332,15 @@ def stage_samples(kind: NavKind, theta: float, count: int, seed: int,
         raise ValueError("intensity must be > 0")
     rng = np.random.default_rng(seed)
     e = rng.exponential(size=count)
-    if kind in (NavKind.DIRECTED_THETA, NavKind.THETA, NavKind.STRAIGHT_THETA,
-                NavKind.RANDOM_NORTH_THETA):
-        tb = math.tan(theta / 2.0)
-        x = np.sqrt(e / tb)
-        y = x * rng.uniform(-tb, tb, size=count)
-    elif kind in (NavKind.DIRECTED_YAO, NavKind.YAO, NavKind.STRAIGHT_YAO,
-                  NavKind.RANDOM_NORTH_YAO):
+    if kind in DISK_KINDS:
         l = np.sqrt(2.0 * e / theta)
         ang = rng.uniform(-theta / 2.0, theta / 2.0, size=count)
         x = l * np.cos(ang)
         y = l * np.sin(ang)
     else:
-        raise ValueError(f"no stage law for {kind}")
+        tb = math.tan(theta / 2.0)
+        x = np.sqrt(e / tb)
+        y = x * rng.uniform(-tb, tb, size=count)
     out = np.column_stack([x, y])
     return out / math.sqrt(intensity)
 

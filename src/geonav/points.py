@@ -33,7 +33,7 @@ import numpy as np
 
 from .density import DensitySpec, Rect
 from .errors import ConfigError, EmptyPointSet, TooFewPoints
-from .geometry import EPS, as_point, norm_angle
+from .geometry import EPS, as_point, norm_angle, whole_number
 
 __all__ = [
     "GridIndex", "PointSet", "Diagnostics",
@@ -141,10 +141,7 @@ class PointSet:
 
     def _default_cell(self) -> float:
         # about one expected point per cell at the densest spot
-        kind, n = self.model
-        rate = max(n * self.density.M_f if kind == "ppp"
-                   else n * self.density.normalized().M_f, 1.0)
-        cell = 1.0 / math.sqrt(rate)
+        cell = 1.0 / math.sqrt(self.rate)
         side = min(self.density.domain.width, self.density.domain.height)
         return float(min(max(cell, side / 2048.0), side))
 
@@ -154,6 +151,26 @@ class PointSet:
     @property
     def n(self) -> float:
         return self.model[1]
+
+    @property
+    def rate(self) -> float:
+        """Expected points per unit area at the densest spot, at least 1:
+        ``n * M_f``, of the normalized profile for an i.i.d. set."""
+        kind, n = self.model
+        density = self.density if kind == "ppp" else self.density.normalized()
+        return max(n * density.M_f, 1.0)
+
+    def id_of(self, p: complex) -> int:
+        """Smallest id of a stored point equal to p, else -1.
+
+        A stored point is filed in the cell that ``GridIndex.cell_of`` gives
+        for it, and the ids of a cell are ascending, so one cell is read."""
+        idx = self.index
+        i, j = idx.cell_of(p.real, p.imag)
+        c = i * idx.ny + j
+        ids = idx.order[idx.starts[c]:idx.starts[c + 1]]
+        hits = ids[(self.xs[ids] == p.real) & (self.ys[ids] == p.imag)]
+        return int(hits[0]) if len(hits) else -1
 
 
 def _dedupe(rng, pts: np.ndarray, draw_one) -> np.ndarray:
@@ -202,8 +219,8 @@ def _draw_one_accepted(density: DensitySpec):
 def sample_ppp(density: DensitySpec, n: float, seed: int) -> PointSet:
     """Poisson process with intensity ``n * f``: Poisson count, then thinning
     of uniform candidates against the constant envelope ``n * M_f``."""
-    if not n > 0.0:
-        raise ValueError("n must be > 0")
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"n must be finite and > 0, got {n!r}")
     rng = np.random.default_rng(seed)
     envelope = rng.poisson(n * density.M_f * density.domain.area)
     pts = _thinned_uniform(rng, density, envelope)
@@ -212,9 +229,9 @@ def sample_ppp(density: DensitySpec, n: float, seed: int) -> PointSet:
 
 
 def sample_iid(density: DensitySpec, n: int, seed: int) -> PointSet:
-    """Exactly ``n`` i.i.d. points with the normalized profile as density."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """Exactly ``n`` (a whole number) i.i.d. points with the normalized
+    profile as density."""
+    n = whole_number("n", n, 0)
     rng = np.random.default_rng(seed)
     out = np.empty((0, 2))
     d = density.domain
@@ -224,7 +241,7 @@ def sample_iid(density: DensitySpec, n: int, seed: int) -> PointSet:
         got = _thinned_uniform(rng, density, batch)
         out = np.vstack([out, got])
     pts = _dedupe(rng, out[:n].copy(), _draw_one_accepted(density))
-    return PointSet(pts, density, seed, ("iid", int(n)))
+    return PointSet(pts, density, seed, ("iid", n))
 
 
 # ---------------------------------------------------------------------------
@@ -734,19 +751,24 @@ def save_points(ps: PointSet, path) -> None:
 def load_points(path) -> PointSet:
     meta = {}
     rows = []
+    num = 0
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        meta[k] = v
-            elif line != "x,y":
-                x, y = line.split(",")
-                rows.append((float(x), float(y)))
+        # one handler for the whole file: a context per row would double the read time
+        try:
+            for num, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    for tok in line[1:].split():
+                        if "=" in tok:
+                            k, v = tok.split("=", 1)
+                            meta[k] = v
+                elif line != "x,y":
+                    x, y = line.split(",")
+                    rows.append((float(x), float(y)))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {num}: {exc}") from exc
     try:
         kind, params = meta["density"].split(":")
         dens = DensitySpec(kind, tuple(float(p) for p in params.split(",")),

@@ -41,7 +41,7 @@ def test_limits_with_pair_prediction(capsys):
 
 def test_limits_out_of_range_theta(capsys):
     code, _, err = run_cli(capsys, "limits", "--kind", "t", "--p-theta", "5")
-    assert code == 2
+    assert code == 1
     assert "range" in err
 
 
@@ -215,7 +215,7 @@ def test_experiment_step_too_fine_for_the_budget_fails_fast(tmp_path, capsys,
     (["navigate", "--kind", "directed-t", "--theta", "1.0", "--s", "0.1,0.5",
       "--t", "0.9,0.5"], "--t"),
     (["navigate", "--kind", "straight-t", "--theta", "1.5708", "--s", "0.2,0.5",
-      "--t", "0.8,0.5", "--steps", "1"], "--steps"),
+      "--t", "0.8,0.5", "--steps", "0"], "max_steps"),
     (["navigate", "--kind", "directed-t", "--theta", "1.0", "--s", "0.1,0.5",
       "--steps", "0"], "max_steps"),
     (["navigate", "--kind", "random-north-t", "--p-theta", "6", "--north-seed", "-1",
@@ -228,6 +228,35 @@ def test_argument_the_command_would_drop_is_config_error(monkeypatch, capsys, ar
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and flag in err and len(err.splitlines()) == 1
+
+
+def test_steps_is_the_hop_budget_of_a_targeted_kind(capsys):
+    code, out, _ = run_cli(capsys, "navigate", "--kind", "straight-t", "--theta", "1.5708",
+                           "--n", "1000", "--s", "0.2,0.5", "--t", "0.8,0.5", "--steps", "1")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["nb"] == 1 and obj["exit_reason"] == "max-steps" and not obj["success"]
+
+
+@pytest.mark.parametrize("argv,word", [
+    (["sample", "--n", "-5", "--out", "{tmp}/x.csv"], "n must be"),
+    (["sample", "--n", "inf", "--out", "{tmp}/x.csv"], "n must be"),
+    (["sample", "--model", "iid", "--n", "2.7", "--out", "{tmp}/x.csv"], "n must be"),
+    (["navigate", "--kind", "straight-t", "--theta", "1.5708", "--n", "-5",
+      "--s", "0.2,0.5", "--t", "0.8,0.5"], "n must be"),
+    (["diagnose", "--points", "{tmp}/bad_row.csv"], "line 6"),
+    (["limits", "--kind", "straight-t", "--theta", "1.5708",
+      "--s", "0.01,0.5", "--t", "0.99,0.5"], "inset")])
+def test_refused_input_exits_1(tmp_path, capsys, argv, word):
+    # the sampler refuses its n, load_points its row and a prediction its
+    # pair, each as a config error
+    (tmp_path / "bad_row.csv").write_text(
+        "# model=ppp n=100.0 seed=0\n# domain=0.0,0.0,1.0,1.0 inset_a=0.05\n"
+        "# density=constant:1.0\nx,y\n0.5,0.5\n0.1;0.2\n")
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and word in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("params", [

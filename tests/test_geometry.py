@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from geonav import (CrossParams, DegeneratePair, DensitySpec, PointSet, Rect,
+from geonav import (CrossParams, DegeneratePair, DensitySpec, NavSpec, PointSet, Rect,
                     constants, nearest_in_sector)
 from geonav.geometry import (corner_point, gamma_path, hausdorff_distance,
                              norm_angle, sample_polyline, sector_index, sector_of_angle)
@@ -89,6 +89,19 @@ def test_sector_of_angle_takes_any_angle():
     rng = np.random.default_rng(5)
     for z in rng.normal(size=50) + 1j * rng.normal(size=50):
         assert sector_of_angle(cmath.phase(z), theta, 6) == sector_index(0j, z, CrossParams(6))
+
+
+@pytest.mark.parametrize("p_theta", [3.5, None, "6"])
+def test_cross_params_refuse_what_nav_spec_refuses(p_theta):
+    # one whole-number rule: the p_theta NavSpec refuses, CrossParams refuses
+    with pytest.raises(ValueError, match="p_theta"):
+        CrossParams(p_theta)
+    with pytest.raises(ValueError, match="p_theta"):
+        NavSpec("t", p_theta=p_theta)
+
+
+def test_cross_params_read_an_integral_float():
+    assert CrossParams(6.0) == CrossParams(6) and type(CrossParams(6.0).p_theta) is int
 
 
 def test_sector_index_degenerate():

@@ -538,6 +538,21 @@ def test_predict_cross_degenerate_and_range():
         predict_cost("t", 2 * math.pi / 7, (1.0,), s, t, UNIT, p_theta=7)
 
 
+@pytest.mark.parametrize("kind,theta", [("straight-t", math.pi / 2),
+                                         ("straight-yao", math.pi / 3),
+                                         ("random-north-t", 2 * math.pi / 6)])
+def test_segment_kinds_refuse_a_pair_outside_the_inset(kind, theta):
+    # the segment runs from x = 0.01 to 0.99, past the inset's 0.05 border,
+    # so no kind predicts it (pair generation drops it by the same rule)
+    s, t = 0.01 + 0.5j, 0.99 + 0.5j
+    assert not limits.limit_path_in_inset(UNIT, kind, None, s, t)
+    with pytest.raises(GammaLeavesInset):
+        predict_straight(kind, theta, s, t, UNIT)
+    with pytest.raises(GammaLeavesInset):
+        predict_cost(kind, theta, (0.0, 1.0), s, t, UNIT)
+    assert predict_straight(kind, theta, 0.1 + 0.5j, 0.9 + 0.5j, UNIT)[0] > 0.8
+
+
 def test_predict_cost_identities():
     cases = [
         ("straight-t", math.pi / 2, None, UNIT, 0.2 + 0.5j, 0.8 + 0.5j),

@@ -9,7 +9,7 @@ from geonav import (DensitySpec, NavKind, NavSpec, PointSet, Rect, costs, load_p
                     nearest_in_sector, next_stop, run, run_directed, sample_ppp, save_points,
                     stage_samples)
 from geonav.geometry import sector_of_angle
-from geonav.navigation import PathRecord, _id_of, norths_for
+from geonav.navigation import PathRecord, norths_for
 
 DEG = math.pi / 180.0
 UNIT = DensitySpec.constant(1.0)
@@ -303,17 +303,17 @@ def test_id_of_reads_one_cell(tmp_path):
     pts = np.vstack([rng.random((60, 2)), [(1.0, 0.5), (0.3, 1.0), (1.0, 1.0), (0.0, 0.0)]])
     ps = make_set(pts)
     assert ps.index.nx == 8 and ps.index.cell_of(1.0, 1.0) == (7, 7)
-    assert [_id_of(ps, complex(x, y)) for x, y in pts.tolist()] == list(range(len(pts)))
+    assert [ps.id_of(complex(x, y)) for x, y in pts.tolist()] == list(range(len(pts)))
     for p in (0.5 + 0.5j, 1.0 + 0.7j, complex(pts[3, 0], np.nextafter(pts[3, 1], 2.0))):
-        assert _id_of(ps, p) == -1
-    assert _id_of(EMPTY, 0.5 + 0.5j) == -1
+        assert ps.id_of(p) == -1
+    assert EMPTY.id_of(0.5 + 0.5j) == -1
     # a loaded set keeps duplicate rows: the smallest id of equal rows wins
     path = tmp_path / "dup.csv"
     save_points(make_set([(0.6, 0.6), (0.61, 0.6), (0.1, 0.1), (0.6, 0.6), (0.1, 0.1),
                           (0.6, 0.6)]), path)
     dup = load_points(path)
     assert len(dup) == 6
-    assert [_id_of(dup, p) for p in (0.6 + 0.6j, 0.61 + 0.6j, 0.1 + 0.1j)] == [0, 1, 2]
+    assert [dup.id_of(p) for p in (0.6 + 0.6j, 0.61 + 0.6j, 0.1 + 0.1j)] == [0, 1, 2]
 
 
 def test_path_record_svg(tmp_path):

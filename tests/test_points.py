@@ -100,6 +100,28 @@ def test_iid_zero():
     assert len(sample_iid(UNIT, 0, seed=1)) == 0
 
 
+@pytest.mark.parametrize("sampler,n", [(sample_iid, 2.7), (sample_iid, math.inf),
+                                       (sample_iid, True), (sample_ppp, math.inf)])
+def test_samplers_refuse_their_n_before_drawing(sampler, n):
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match="^n must be"):
+            sampler(UNIT, n, seed=1)
+
+
+def test_iid_sets_of_one_point_law_share_their_rate():
+    # constant(1) and constant(4) normalize to the same profile, so n i.i.d.
+    # points of either are one law: same rate, cell and hop budget
+    from geonav.navigation import _default_max_steps
+    a = sample_iid(DensitySpec.constant(1.0), 1000, seed=3)
+    b = sample_iid(DensitySpec.constant(4.0), 1000.0, seed=3)
+    assert a.rate == b.rate == 1000.0 and b.model == ("iid", 1000)
+    assert a.index.cell == b.index.cell == pytest.approx(0.0316, abs=1e-4)
+    assert _default_max_steps(a) == _default_max_steps(b) == 2237
+    # a Poisson set's rate is n * M_f, and never below 1
+    assert sample_ppp(DensitySpec.constant(4.0), 250, seed=3).rate == 1000.0
+    assert sample_ppp(UNIT, 0.5, seed=3).rate == 1.0
+
+
 def test_sampling_determinism():
     a = sample_ppp(UNIT, 500, seed=42)
     b = sample_ppp(UNIT, 500, seed=42)
