@@ -16,9 +16,8 @@ from .geometry import (CrossParams, as_point, corner_point, gamma_path,
                        hausdorff_distance, sector_index)
 from .harness import (ExperimentConfig, ResultRow, generate_pairs,
                       render_svg, run_experiment, summarize)
-from .limits import (ConstantsRow, LimitCurve, OdeSpec, constants, euler_solve,
-                     hit_time, mc_constants, predict_cost, predict_cross,
-                     predict_straight)
+from .limits import (ConstantsRow, LimitCurve, constants, euler_solve, hit_time,
+                     mc_constants, predict_cost, predict_cross, predict_straight)
 from .navigation import (CostReport, NavKind, NavSpec, PathRecord, costs,
                          next_stop, run, run_directed, stage_samples)
 from .points import (Diagnostics, PointSet, load_points, maxball, navmax,

@@ -24,11 +24,11 @@ class OutOfRangeTheta(GeonavError):
 
 
 class StepOutOfDomain(GeonavError):
-    """Raised when a solver iterate leaves the domain rectangle."""
+    """Raised when an Euler walk cannot reach its target within the step budget."""
 
 
 class SegmentLeavesDomain(GeonavError):
-    """Raised when a segment needed by a 1-D solve is not inside the inset domain."""
+    """Raised when an Euler walk's leg has an end outside the domain rectangle."""
 
 
 class GammaLeavesInset(GeonavError):

@@ -22,7 +22,7 @@ from .density import DensitySpec, Rect
 from .errors import ConfigError, EmptyInput, NoValidPairs, StepOutOfDomain, config_errors
 from .geometry import CrossParams, as_point, gamma_path, hausdorff_distance, whole_number
 # bench/tracing.py wraps harness.predict_cost by name, so the import stays
-from .limits import (_check_step_budget, _legs, check_theta, default_step, hop_moment,
+from .limits import (_check_leg, _legs, check_theta, default_step, hop_moment,
                      limit_path_in_inset, predict_cost, predict_cross, predict_straight)
 from .navigation import CROSS_KINDS, DIRECTED_KINDS, NavSpec, costs, run
 from .points import navmax, sample_ppp
@@ -213,7 +213,7 @@ def _predictions(config: ExperimentConfig, pairs):
     for s, t in pairs:
         for a, b, lam, _ in _legs(nav.kind, nav.theta, nav.p_theta, s, t, dens):
             try:
-                _check_step_budget(abs(b - a), lam, h, dens)
+                _check_leg(lam, a, b, dens, h)
             except StepOutOfDomain as exc:
                 raise ConfigError(f"euler_h: {exc}") from exc
     exponents = tuple(float(g) for g in config.exponents)

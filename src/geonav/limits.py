@@ -10,11 +10,12 @@ accumulated power cost follows the coupled equation
 ``C'(x) = q / f(rho(x))^{g/2}`` with ``q`` the mean ``|hop|^g`` at unit
 intensity.  This module evaluates the speed/stretch constants, solves the
 flow with an explicit Euler scheme, and combines both into per-pair
-predictions of path length, stage count, and power costs.  Every Euler walk
-has one stop, its target: ``euler_solve(spec, target)`` integrates until the
-walk crosses it.  Every walk has a budget of ten million steps, and one
-whose length alone shows it cannot end within that is refused before its
-first step.
+predictions of path length, stage count, and power costs.  Both Euler walks
+take one leg the same way, ``(lam, s, t, density, h)``: ``euler_solve`` for
+the curve and costs and ``hit_time`` for the stage count, each stopping at
+the leg's target ``t``.  One rule (``_check_leg``) refuses a leg for both,
+before any density call: a speed or step that is not finite and > 0, an end
+outside the domain, or a walk too long for the budget of ten million steps.
 
 Every constant a prediction uses is exact: closed forms, and for the hop
 moments ``q`` of the projection-capped family at g outside {0, 1, 2} a
@@ -59,7 +60,7 @@ from .navigation import (CROSS_KINDS, DIRECTED_KINDS, DISK_KINDS, NavKind, in_gu
 
 __all__ = [
     "ConstantsRow", "constants", "McConstants", "mc_constants",
-    "OdeSpec", "LimitCurve", "euler_solve", "hit_time", "predict_straight",
+    "LimitCurve", "euler_solve", "hit_time", "predict_straight",
     "predict_cross", "predict_cost", "check_theta",
     "limit_path_in_inset",
 ]
@@ -296,32 +297,6 @@ def mc_constants(kind, theta: float, samples: int, seed: int,
 
 # -- explicit Euler integration ----------------------------------------------
 
-@dataclass(frozen=True)
-class OdeSpec:
-    """Flow parameters: speed ``lam`` along direction ``nu`` from ``start``,
-    over the given density; optional coupled power costs, one per exponent
-    ``cost_g[k]`` with rate constant ``cost_q[k]``."""
-
-    lam: float
-    nu: float
-    start: complex
-    density: DensitySpec
-    h: float
-    cost_q: tuple = ()
-    cost_g: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "start", as_point(self.start))
-        object.__setattr__(self, "cost_q", tuple(self.cost_q))
-        object.__setattr__(self, "cost_g", tuple(self.cost_g))
-        if not self.lam > 0.0:
-            raise ValueError("lam must be > 0")
-        if not self.h > 0.0:
-            raise ValueError("step h must be > 0")
-        if len(self.cost_q) != len(self.cost_g):
-            raise ValueError("cost_q and cost_g go together")
-
-
 def default_step(density: DensitySpec) -> float:
     return 1e-4 * density.domain.diameter
 
@@ -356,13 +331,26 @@ _STEP_BUDGET = 10_000_000
 _BUDGET_MARGIN = 1.01
 
 
-def _check_step_budget(arc: float, lam: float, h: float, density: DensitySpec) -> None:
-    """Raise StepOutOfDomain when a walk of length ``arc`` at speed ``lam``
-    cannot end within the step budget.
+def _check_leg(lam: float, s: complex, t: complex, density: DensitySpec, h: float) -> None:
+    """The one rule both Euler walks of the leg [s, t] keep, checked before
+    their first density call.
 
-    No step from a point of the domain is longer than ``h*lam/sqrt(m_f)``, so
-    the walk takes at least ``arc*sqrt(m_f)/(lam*h)`` steps.
+    Raises ValueError unless ``lam`` and ``h`` are finite and > 0.  For
+    ``s != t``, raises SegmentLeavesDomain when an end lies outside the
+    domain, and StepOutOfDomain when the walk cannot end within the step
+    budget: no step from a point of the domain is longer than
+    ``h*lam/sqrt(m_f)``, so the walk takes at least
+    ``|t - s|*sqrt(m_f)/(lam*h)`` steps.
     """
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and > 0, got {lam!r}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be finite and > 0, got {h!r}")
+    if s == t:
+        return
+    if not (density.domain.contains(s) and density.domain.contains(t)):
+        raise SegmentLeavesDomain("leg ends must lie in the domain")
+    arc = abs(t - s)
     if arc * math.sqrt(density.m_f) > _STEP_BUDGET * _BUDGET_MARGIN * (lam * h):
         raise StepOutOfDomain(f"a walk of length {arc:g} at step {h:g} needs more "
                               f"than {_STEP_BUDGET} steps")
@@ -395,88 +383,80 @@ def _walk_cost(fs: list, frac: float, h: float, q: float, g: float) -> float:
     return cost + frac * (hq / fs[-1] ** half_g)
 
 
-def euler_solve(spec: OdeSpec, target) -> LimitCurve:
-    """Explicit Euler iterates of the flow from ``spec.start`` up to
-    ``target``, with every cost of the spec.
+def euler_solve(lam: float, s, t, density: DensitySpec, h: float,
+                cost_q=(), cost_g=()) -> LimitCurve:
+    """Explicit Euler iterates of the flow at speed ``lam`` along the leg
+    from ``s`` up to ``t``, with the coupled cost of each exponent
+    ``cost_g[k]`` at rate ``cost_q[k]``.
 
-    The direction is constant, so hitting the target reduces to crossing its
-    arc-length offset; the crossing step is shortened by linear
-    interpolation, which keeps the g=0 and g=1 cost identities exact.  The
-    walk records the density at each iterate it steps from, and each
-    exponent's cost is folded from those densities after it
+    The leg's direction ``nu = atan2`` of ``t - s`` is constant, so hitting
+    the target reduces to crossing its arc-length offset; the crossing step
+    is shortened by linear interpolation, which keeps the g=0 and g=1 cost
+    identities exact.  Every iterate before it lies on [s, t], inside the
+    domain.  The walk records the density at each iterate it steps from,
+    and each exponent's cost is folded from those densities after it
     (``_walk_cost``), equal bit for bit to an accumulator carried through
-    the steps.  The global error is O(h).  Raises StepOutOfDomain when an
-    iterate leaves the domain before the target, or when the walk cannot end
-    within ten million steps.
+    the steps.  The global error is O(h).  Raises ValueError when the cost
+    lists differ in length, and refuses a leg by ``_check_leg`` before its
+    first density call.
     """
-    f_at = spec.density.scalar()
-    dom = spec.density.domain
-    start = spec.start
-    e = complex(math.cos(spec.nu), math.sin(spec.nu))
-    lam = spec.lam
-    h = spec.h
-    arc_goal = abs(as_point(target) - start)
-    if arc_goal == 0.0:
-        return _point_curve(start, (0.0,) * len(spec.cost_g))
-    # the bound holds for steps from the domain; a start outside it is left
-    # to the domain test below
-    if dom.contains(start):
-        _check_step_budget(arc_goal, lam, h, spec.density)
-    x0, y0, x1, y1 = dom.x0, dom.y0, dom.x1, dom.y1
+    if len(cost_q) != len(cost_g):
+        raise ValueError("cost_q and cost_g go together")
+    s = as_point(s)
+    t = as_point(t)
+    _check_leg(lam, s, t, density, h)
+    if s == t:
+        return _point_curve(s, (0.0,) * len(cost_g))
+    f_at = density.scalar()
+    nu = math.atan2((t - s).imag, (t - s).real)
+    e = complex(math.cos(nu), math.sin(nu))
+    arc_goal = abs(t - s)
     fs = []
-    pos = [start]
+    pos = [s]
     record = fs.append
     keep = pos.append
-    z = start
+    z = s
     for _ in itertools.repeat(None, _STEP_BUDGET):
         f = f_at(z.real, z.imag)
         record(f)
         speed = lam / math.sqrt(f)
         znew = z + h * speed * e
-        arc_new = abs(znew - start)
+        arc_new = abs(znew - s)
         if arc_new >= arc_goal:
-            arc_old = abs(z - start)
+            arc_old = abs(z - s)
             frac = 1.0 if arc_new == arc_old else \
                 (arc_goal - arc_old) / (arc_new - arc_old)
             frac = min(max(frac, 0.0), 1.0)
             keep(z + frac * h * speed * e)
             break
-        if not (x0 <= znew.real <= x1 and y0 <= znew.imag <= y1):
-            t = 0.0
-            for _ in fs:
-                t += h
-            raise StepOutOfDomain(f"iterate left the domain at t={t:g}")
         z = znew
         keep(z)
     else:
         raise StepOutOfDomain("target not reached within the iteration budget")
-    costs = tuple(_walk_cost(fs, frac, h, q, g) for q, g in zip(spec.cost_q, spec.cost_g))
+    costs = tuple(_walk_cost(fs, frac, h, q, g) for q, g in zip(cost_q, cost_g))
     times = list(itertools.accumulate(itertools.repeat(h, len(fs) - 1), initial=0.0))
-    t = times[-1] + frac * h
-    times.append(t)
+    end = times[-1] + frac * h
+    times.append(end)
     arr = np.array(pos, dtype=np.complex128).view(np.float64).reshape(-1, 2)
-    return LimitCurve(np.asarray(times), arr, t, costs)
+    return LimitCurve(np.asarray(times), arr, end, costs)
 
 
 def hit_time(lam: float, s, t, density: DensitySpec, h: float) -> float:
-    """Time for the flow at speed ``lam`` to traverse the segment [s, t].
+    """Time for the flow at speed ``lam`` to traverse the leg [s, t].
 
-    Solves the 1-D reduction along the segment with explicit Euler and one
-    linear interpolation of the crossing step.  Raises StepOutOfDomain when
-    the walk cannot end within ten million steps.
+    Solves the 1-D reduction along the leg with explicit Euler and one
+    linear interpolation of the crossing step.  Refuses a leg by
+    ``_check_leg``, the rule of ``euler_solve``, before its first density
+    call.
     """
-    if not h > 0.0:
-        raise ValueError("step h must be > 0")
     s = as_point(s)
     t = as_point(t)
+    _check_leg(lam, s, t, density, h)
     if s == t:
         return 0.0
-    if not (density.domain.contains(s) and density.domain.contains(t)):
-        raise SegmentLeavesDomain("segment endpoints must lie in the domain")
     f_at = density.scalar()
     e = (t - s) / abs(t - s)
     goal = abs(t - s)
-    _check_step_budget(goal, lam, h, density)
     arc = 0.0
     time = 0.0
     for _ in itertools.repeat(None, _STEP_BUDGET):
@@ -541,18 +521,12 @@ def _legs(kind, theta, p_theta, s, t, density: DensitySpec) -> list:
     return [leg for leg in legs if leg[0] != leg[1]]
 
 
-def _leg_spec(leg, density: DensitySpec, h: float, **cost) -> OdeSpec:
-    a, b, lam, _ = leg
-    return OdeSpec(lam, math.atan2((b - a).imag, (b - a).real), a, density, h, **cost)
-
-
 def _legs_curve(kind, angle: float, legs, density: DensitySpec, h: float,
                 exponents: tuple) -> LimitCurve:
     """The legs' Euler walks glued end to end; the curve's ``end_costs``
     holds one cost per exponent, at the rates ``hop_moment(kind, angle, g)``."""
     qs = tuple(hop_moment(kind, angle, g) for g in exponents)
-    return _glue([euler_solve(_leg_spec(leg, density, h, cost_q=qs, cost_g=exponents), leg[1])
-                  for leg in legs])
+    return _glue([euler_solve(lam, a, b, density, h, qs, exponents) for a, b, lam, _ in legs])
 
 
 def _predict_path(kind, angle: float, legs, s, density: DensitySpec, h: float | None,

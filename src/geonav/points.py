@@ -114,7 +114,8 @@ def _ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class PointSet:
-    """Immutable sampled point set plus its grid index.
+    """Immutable sampled point set plus its grid index, built here; every
+    row must be a finite point of ``density.domain``.
 
     ``model`` is ``("ppp", n)`` or ``("iid", n)``; the intensity actually
     sampled is ``n * f`` for the first and ``n`` i.i.d. draws from the
@@ -125,19 +126,34 @@ class PointSet:
     density: DensitySpec
     seed: int
     model: tuple
-    index: GridIndex = field(repr=False, default=None)
+    index: GridIndex = field(init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 2)
         self.points.setflags(write=False)
-        if self.index is None:
-            self.index = GridIndex(self.points[:, 0], self.points[:, 1],
-                                   self.density.domain, self._default_cell())
         self.xs = self.points[:, 0]
         self.ys = self.points[:, 1]
+        self._check_rows()
+        self.index = GridIndex(self.xs, self.ys, self.density.domain, self._default_cell())
         # the points as complex numbers, a view of ``points`` when it is
         # C-contiguous: a sector scan gathers and shifts both coordinates at once
         self.zs = np.ascontiguousarray(self.points).view(np.complex128).reshape(-1)
+
+    def _check_rows(self) -> None:
+        """Raise ValueError unless every row is a finite point of the domain.
+
+        A NaN makes its column's min and max NaN, so four reductions over the
+        columns catch it too."""
+        if not len(self.points):
+            return
+        d = self.density.domain
+        xs, ys = self.xs, self.ys
+        if d.x0 <= xs.min() and xs.max() <= d.x1 and d.y0 <= ys.min() and ys.max() <= d.y1:
+            return
+        bad = ~((xs >= d.x0) & (xs <= d.x1) & (ys >= d.y0) & (ys <= d.y1))
+        x, y = self.points[int(bad.argmax())]
+        raise ValueError(f"point ({x!r}, {y!r}) is not a finite point of the domain "
+                         f"[{d.x0!r}, {d.x1!r}] x [{d.y0!r}, {d.y1!r}]")
 
     def _default_cell(self) -> float:
         # about one expected point per cell at the densest spot
@@ -173,13 +189,14 @@ class PointSet:
         return int(hits[0]) if len(hits) else -1
 
 
-def _dedupe(rng, pts: np.ndarray, draw_one) -> np.ndarray:
+def _dedupe(rng, pts: np.ndarray, density: DensitySpec) -> np.ndarray:
     """Redraw rows until all points are distinct (float-collision guard).
 
     The sort is stable, so of equal rows the one with the smallest index
-    stays and the others are redrawn in index order.  A round first sorts x
-    alone: if no two x values are equal, no two rows are, and the two-key
-    sort is skipped.
+    stays and the others are redrawn in index order, each by one-candidate
+    batches of ``_thinned_uniform`` until one is accepted: the acceptance
+    rule of the batch itself.  A round first sorts x alone: if no two x
+    values are equal, no two rows are, and the two-key sort is skipped.
     """
     while len(pts) > 1:
         xs = np.sort(pts[:, 0])
@@ -192,7 +209,10 @@ def _dedupe(rng, pts: np.ndarray, draw_one) -> np.ndarray:
         if not same.any():
             break
         for i in np.sort(order[1:][same]):
-            pts[i] = draw_one(rng)
+            row = ()
+            while not len(row):
+                row = _thinned_uniform(rng, density, 1)
+            pts[i] = row[0]
     return pts
 
 
@@ -204,18 +224,6 @@ def _thinned_uniform(rng, density: DensitySpec, count: int) -> np.ndarray:
     return np.column_stack([xs[keep], ys[keep]])
 
 
-def _draw_one_accepted(density: DensitySpec):
-    d = density.domain
-
-    def draw(rng):
-        while True:
-            x = rng.uniform(d.x0, d.x1)
-            y = rng.uniform(d.y0, d.y1)
-            if rng.random() * density.M_f < density.at(complex(x, y)):
-                return (x, y)
-    return draw
-
-
 def sample_ppp(density: DensitySpec, n: float, seed: int) -> PointSet:
     """Poisson process with intensity ``n * f``: Poisson count, then thinning
     of uniform candidates against the constant envelope ``n * M_f``."""
@@ -224,7 +232,7 @@ def sample_ppp(density: DensitySpec, n: float, seed: int) -> PointSet:
     rng = np.random.default_rng(seed)
     envelope = rng.poisson(n * density.M_f * density.domain.area)
     pts = _thinned_uniform(rng, density, envelope)
-    pts = _dedupe(rng, pts, _draw_one_accepted(density))
+    pts = _dedupe(rng, pts, density)
     return PointSet(pts, density, seed, ("ppp", float(n)))
 
 
@@ -240,7 +248,7 @@ def sample_iid(density: DensitySpec, n: int, seed: int) -> PointSet:
         batch = max(32, int(1.2 * want * density.M_f * d.area / max(density.integral, 1e-300)))
         got = _thinned_uniform(rng, density, batch)
         out = np.vstack([out, got])
-    pts = _dedupe(rng, out[:n].copy(), _draw_one_accepted(density))
+    pts = _dedupe(rng, out[:n].copy(), density)
     return PointSet(pts, density, seed, ("iid", n))
 
 
@@ -780,6 +788,9 @@ def load_points(path) -> PointSet:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad header: {exc}") from exc
     model = ("ppp", n) if model == "ppp" else ("iid", int(n))
-    return PointSet(np.array(rows, dtype=float).reshape(-1, 2), dens, seed, model)
+    try:
+        return PointSet(np.array(rows, dtype=float).reshape(-1, 2), dens, seed, model)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 

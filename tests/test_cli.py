@@ -293,6 +293,18 @@ def test_diagnose_points_without_header_is_config_error(tmp_path, capsys):
     assert "header" in err
 
 
+@pytest.mark.parametrize("row", ["nan,0.2", "5.0,5.0"])
+def test_diagnose_points_outside_the_domain_is_config_error(tmp_path, capsys, row):
+    # PointSet refuses the row, and load_points reports it as a config error
+    pts = tmp_path / "pts.csv"
+    pts.write_text("# model=ppp n=100.0 seed=0\n# domain=0.0,0.0,1.0,1.0 inset_a=0.05\n"
+                   f"# density=constant:1.0\nx,y\n0.5,0.5\n{row}\n")
+    code, out, err = run_cli(capsys, "diagnose", "--points", str(pts))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "finite point of the domain" in err
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--theta", "0"), ("--theta", "nan"), ("--theta", "-1"), ("--theta", "7"),
     ("--grid-step", "0"), ("--grid-step", "nan"), ("--r", "0"), ("--r", "nan")])

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from geonav import (DensitySpec, GammaLeavesInset, NavKind, NavSpec, OdeSpec,
-                    OutOfRangeTheta, Rect, StepOutOfDomain, constants,
+from geonav import (DensitySpec, GammaLeavesInset, NavKind, NavSpec, OutOfRangeTheta,
+                    Rect, SegmentLeavesDomain, StepOutOfDomain, constants,
                     euler_solve, hit_time, mc_constants, predict_cost,
                     predict_cross, predict_straight)
 from geonav import limits, navigation
@@ -249,9 +249,9 @@ def test_euler_exact_for_constant_density():
     dens = DensitySpec.constant(4.0)
     lam, nu = 0.7, 0.3
     speed = lam / 2.0
-    spec = OdeSpec(lam, nu, 0.2 + 0.2j, dens, h=0.01)
     # the target the flow reaches at time 0.5
-    curve = euler_solve(spec, 0.2 + 0.2j + 0.5 * speed * cmath.exp(1j * nu))
+    curve = euler_solve(lam, 0.2 + 0.2j, 0.2 + 0.2j + 0.5 * speed * cmath.exp(1j * nu), dens,
+                        h=0.01)
     for t, (x, y) in zip(curve.times, curve.positions):
         assert x == pytest.approx(0.2 + t * speed * math.cos(nu), abs=1e-12)
         assert y == pytest.approx(0.2 + t * speed * math.sin(nu), abs=1e-12)
@@ -266,25 +266,27 @@ def test_euler_cost_linear_identity_constant_density():
     dens = DensitySpec.constant(2.5)
     lam, q0, q1 = 0.9, 0.6, 1.7
     speed = lam / math.sqrt(2.5)
-    spec = OdeSpec(lam, 0.0, 0.1 + 0.5j, dens, h=0.01, cost_q=(q0, q1), cost_g=(0.0, 1.0))
     for t_end in (0.005, 0.01, 0.37, 0.8):
-        curve = euler_solve(spec, 0.1 + speed * t_end + 0.5j)
+        curve = euler_solve(lam, 0.1 + 0.5j, 0.1 + speed * t_end + 0.5j, dens, h=0.01,
+                            cost_q=(q0, q1), cost_g=(0.0, 1.0))
         trav = curve.positions[-1, 0] - 0.1
         assert curve.hit_time == pytest.approx(t_end, abs=1e-12)
         assert curve.end_costs[0] == pytest.approx(q0 * t_end, abs=1e-12)
         assert curve.end_costs[1] == pytest.approx(q1 / lam * trav, abs=1e-12)
 
 
-def test_ode_spec_costs_pair_up():
-    assert OdeSpec(1.0, 0.0, 0.5j, UNIT, h=0.1).cost_q == ()
-    with pytest.raises(ValueError):
-        OdeSpec(1.0, 0.0, 0.5j, UNIT, h=0.1, cost_q=(1.0, 2.0), cost_g=(1.0,))
+def test_euler_solve_costs_pair_up(count_density_calls):
+    calls = count_density_calls(5000)
+    assert euler_solve(1.0, 0.5j, 0.5 + 0.5j, UNIT, h=0.1).end_costs == ()
+    calls.clear()
+    with pytest.raises(ValueError, match="go together"):
+        euler_solve(1.0, 0.5j, 0.5 + 0.5j, UNIT, h=0.1, cost_q=(1.0, 2.0), cost_g=(1.0,))
+    assert calls == []
 
 
 def test_euler_affine_hit_time_matches_quadrature():
     dens = DensitySpec.affine(1.0, 1.0, 0.0)
-    spec = OdeSpec(1.0, 0.0, 0.0 + 0.5j, dens, h=1e-4)
-    curve = euler_solve(spec, 0.5 + 0.5j)
+    curve = euler_solve(1.0, 0.0 + 0.5j, 0.5 + 0.5j, dens, h=1e-4)
     want = oracle_affine_hit(1.0, 0.0, 0.5)
     assert want == pytest.approx((2.0 / 3.0) * (1.5 ** 1.5 - 1.0), rel=1e-10)
     assert curve.hit_time == pytest.approx(want, abs=1e-3)
@@ -298,8 +300,7 @@ def test_euler_error_linear_in_step():
     errs = []
     hs = [1e-2, 1e-3, 1e-4]
     for h in hs:
-        spec = OdeSpec(1.0, 0.0, 0.0 + 0.5j, dens, h=h)
-        curve = euler_solve(spec, target)
+        curve = euler_solve(1.0, 0.0 + 0.5j, target, dens, h=h)
         assert curve.hit_time == pytest.approx(1.0, abs=h)
         exact = affine_solution(1.0, 0.0, curve.times)
         errs.append(float(np.abs(curve.positions[:, 0] - exact).max()))
@@ -333,20 +334,19 @@ def test_euler_perturbation_stability():
     assert max(ratios.values()) / min(ratios.values()) <= 3.0
 
 
-def reference_costs(spec, target):
-    """The cost walk as one accumulator per exponent, rebuilt at every Euler
-    step: the rule each folded cost must equal bit for bit."""
-    f_at = spec.density.scalar()
-    start = spec.start
-    e = complex(math.cos(spec.nu), math.sin(spec.nu))
-    h = spec.h
-    rates = [(q, g / 2.0) for q, g in zip(spec.cost_q, spec.cost_g)]
+def reference_costs(lam, start, target, density, h, cost_q, cost_g):
+    """The cost walk of the leg as one accumulator per exponent, rebuilt at
+    every Euler step: the rule each folded cost must equal bit for bit."""
+    f_at = density.scalar()
+    nu = math.atan2((target - start).imag, (target - start).real)
+    e = complex(math.cos(nu), math.sin(nu))
+    rates = [(q, g / 2.0) for q, g in zip(cost_q, cost_g)]
     cost = [0.0] * len(rates)
     arc_goal = abs(target - start)
     z = start
     while True:
         f = f_at(z.real, z.imag)
-        speed = spec.lam / math.sqrt(f)
+        speed = lam / math.sqrt(f)
         znew = z + h * speed * e
         arc_new = abs(znew - start)
         if arc_new >= arc_goal:
@@ -381,27 +381,44 @@ def test_folded_costs_equal_the_per_step_accumulator(dens, h):
         b = complex(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)) if reach is None \
             else a + cmath.rect(rng.uniform(0.1, reach) * h, rng.uniform(0, 2 * math.pi))
         qs = tuple(rng.uniform(0.5, 2.0) for _ in FOLD_EXPONENTS)
-        spec = OdeSpec(rng.uniform(0.6, 1.4), cmath.phase(b - a), a, dens, h,
-                       cost_q=qs, cost_g=FOLD_EXPONENTS)
-        assert euler_solve(spec, b).end_costs == reference_costs(spec, b)
+        leg = (rng.uniform(0.6, 1.4), a, b, dens, h, qs, FOLD_EXPONENTS)
+        assert euler_solve(*leg).end_costs == reference_costs(*leg)
     # predict_cost folds the same sums over each leg of a cross pair
     s, t = 0.2 + 0.25j, 0.75 + 0.6j
     legs = limits._legs("t", None, 6, s, t, dens)
     qs = tuple(hop_moment("t", math.pi / 3, g) for g in FOLD_EXPONENTS)
     want = [0.0] * len(FOLD_EXPONENTS)
-    for leg in legs:
-        spec = limits._leg_spec(leg, dens, h, cost_q=qs, cost_g=FOLD_EXPONENTS)
-        want = [c + leg_cost for c, leg_cost in zip(want, reference_costs(spec, leg[1]))]
+    for a, b, lam, _ in legs:
+        leg_costs = reference_costs(lam, a, b, dens, h, qs, FOLD_EXPONENTS)
+        want = [c + leg_cost for c, leg_cost in zip(want, leg_costs)]
     assert len(legs) == 2
     assert predict_cost("t", math.pi / 3, FOLD_EXPONENTS, s, t, dens, h=h, p_theta=6) \
         == tuple(want)
 
 
-WALKS = {
-    "hit_time": lambda lam, s, t, dens, h: hit_time(lam, s, t, dens, h),
-    "euler_solve": lambda lam, s, t, dens, h: euler_solve(
-        OdeSpec(lam, cmath.phase(t - s), s, dens, h, cost_q=(1.0,), cost_g=(2.0,)), t),
+WALKS = {"hit_time": hit_time, "euler_solve": euler_solve}
+
+# legs on the unit square at f = 1 and h = 1e-3 that the one leg rule
+# refuses, with the exception both walks raise
+BAD_LEGS = {
+    "lam_nan": (math.nan, 0.2 + 0.5j, 0.8 + 0.5j, 1e-3, ValueError),
+    "lam_0": (0.0, 0.2 + 0.5j, 0.8 + 0.5j, 1e-3, ValueError),
+    "lam_neg": (-1.0, 0.2 + 0.5j, 0.8 + 0.5j, 1e-3, ValueError),
+    "h_0": (1.0, 0.2 + 0.5j, 0.8 + 0.5j, 0.0, ValueError),
+    "h_nan": (1.0, 0.2 + 0.5j, 0.8 + 0.5j, math.nan, ValueError),
+    "start_outside": (1.0, 1.5 + 0.5j, 0.5 + 0.5j, 1e-3, SegmentLeavesDomain),
+    "target_outside": (1.0, 0.5 + 0.5j, 1.5 + 0.5j, 1e-3, SegmentLeavesDomain),
 }
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("leg", BAD_LEGS)
+def test_walks_refuse_a_bad_leg_by_one_rule_before_stepping(count_density_calls, walk, leg):
+    lam, s, t, h, error = BAD_LEGS[leg]
+    calls = count_density_calls(5000)
+    with pytest.raises(error):
+        WALKS[walk](lam, s, t, UNIT, h)
+    assert calls == []
 
 
 @pytest.mark.parametrize("walk", WALKS)

@@ -169,7 +169,7 @@ def unique_rule_dedupe(pts, draw_one):
     return pts
 
 
-def test_dedupe_matches_unique_rule():
+def test_dedupe_matches_unique_rule(monkeypatch):
     rng = np.random.default_rng(8)
     pts = rng.random((60, 2))
     pts[[7, 19, 33]] = pts[3]
@@ -184,14 +184,25 @@ def test_dedupe_matches_unique_rule():
         return lambda _rng: next(rows)
 
     want = unique_rule_dedupe(pts.copy(), scripted())
-    got = _dedupe(rng, pts.copy(), scripted())
+    draw = scripted()
+    batches = []
+
+    def thin(_rng, density, count):
+        # a redraw takes one-candidate batches of the sampler's own rule until
+        # one is accepted; here every other batch is rejected (empty)
+        assert density is UNIT and count == 1
+        batches.append(np.empty((0, 2)) if len(batches) % 2 == 0 else np.array([draw(None)]))
+        return batches[-1]
+
+    monkeypatch.setattr(points, "_thinned_uniform", thin)
+    got = _dedupe(rng, pts.copy(), UNIT)
     assert np.array_equal(got, want)
     assert len(np.unique(got, axis=0)) == len(got)
     assert np.array_equal(np.delete(got, [7, 19, 33, 41, 50], axis=0),
                           np.delete(pts, [7, 19, 33, 41, 50], axis=0))
 
 
-def test_dedupe_keeps_rows_that_share_only_x():
+def test_dedupe_keeps_rows_that_share_only_x(monkeypatch):
     # equal x values pass the one-key screen, and the two-key rule then finds
     # that their y values differ, so nothing is redrawn
     rng = np.random.default_rng(9)
@@ -199,11 +210,50 @@ def test_dedupe_keeps_rows_that_share_only_x():
     pts[[5, 17, 30], 0] = pts[2, 0]
     pts[21, 0] = pts[8, 0]
 
-    def never(_rng):
+    def never(*_args):
         raise AssertionError("no row should be redrawn")
 
-    got = _dedupe(rng, pts.copy(), never)
+    monkeypatch.setattr(points, "_thinned_uniform", never)
+    got = _dedupe(rng, pts.copy(), UNIT)
     assert np.array_equal(got, pts)
+
+
+def test_sampler_redraws_a_duplicate_by_the_batch_rule(monkeypatch):
+    # the batch is thinned through the array rule (DensitySpec.value), which
+    # on a bump may differ in the last bit from the one-point rule (``at``);
+    # a redrawn duplicate must be accepted by the batch's rule, so ``at`` is
+    # never called
+    thin = points._thinned_uniform
+    planted = []
+
+    def plant(rng, density, count):
+        pts = thin(rng, density, count)
+        if not planted:
+            pts[7] = pts[3]
+            planted.append(pts.copy())
+        return pts
+
+    def refuse(*_args):
+        raise AssertionError("a redraw took the one-point rule")
+
+    monkeypatch.setattr(points, "_thinned_uniform", plant)
+    monkeypatch.setattr(DensitySpec, "at", refuse)
+    ps = sample_ppp(BUMP, 500, seed=12)
+    (batch,) = planted
+    assert len(np.unique(ps.points, axis=0)) == len(ps) == len(batch)
+    assert np.array_equal(np.delete(ps.points, 7, axis=0), np.delete(batch, 7, axis=0))
+    assert not np.array_equal(ps.points[7], batch[3])
+
+
+@pytest.mark.parametrize("row", [(math.nan, 0.2), (0.2, math.inf), (5.0, 5.0), (-1e-9, 0.5),
+                                 (0.5, 1.0 + 1e-9)])
+def test_point_set_refuses_a_row_outside_its_domain(row):
+    good = np.random.default_rng(3).random((20, 2))
+    with pytest.raises(ValueError, match="finite point of the domain"):
+        PointSet(np.vstack([good, row]), UNIT, 0, ("iid", 21))
+    # the domain is closed: its corners and borders are points of it
+    corners = np.array([(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 1.0)])
+    assert len(PointSet(np.vstack([good, corners]), UNIT, 0, ("iid", 25))) == 25
 
 
 # -- grid index -----------------------------------------------------------------
