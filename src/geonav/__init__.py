@@ -18,10 +18,9 @@ from .harness import (ExperimentConfig, ResultRow, generate_pairs,
                       render_svg, run_experiment, summarize)
 from .limits import (ConstantsRow, LimitCurve, constants, euler_solve, hit_time,
                      mc_constants, predict_cost, predict_cross, predict_straight)
-from .navigation import (CostReport, NavKind, NavSpec, PathRecord, costs,
-                         next_stop, run, run_directed, stage_samples)
-from .points import (Diagnostics, PointSet, load_points, maxball, navmax,
-                     nearest_in_sector, r_min, sample_iid, sample_ppp,
-                     save_points)
+from .navigation import (NavKind, NavSpec, PathRecord, costs, next_stop, run,
+                         run_directed, stage_samples)
+from .points import (PointSet, load_points, maxball, navmax, nearest_in_sector,
+                     r_min, sample_iid, sample_ppp, save_points)
 
 __version__ = "0.1.0"

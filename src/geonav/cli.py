@@ -8,7 +8,9 @@ predictions), ``experiment`` (full sweep from a JSON config), ``diagnose``
 Arguments are checked by the type or function they feed (``DensitySpec``,
 ``NavSpec``, ``ExperimentConfig``, the samplers' ``n``, ``constants``'s kind
 and angle, the predictions' inset rule); one a command would drop (``--t``
-of a directed kind, a lone ``--s`` or ``--t`` of ``limits``) is refused.
+of a directed kind, a lone ``--s`` or ``--t`` of ``limits``, and, refused by
+``NavSpec``, ``--alpha`` of an undirected kind, ``--north-seed`` of a kind
+without random north, a ``--theta`` other than ``2*pi/--p-theta``) is refused.
 ``--steps`` is the hop budget of every kind.  Exit codes: 0 success, 1
 refused input (before any sampling), 2 runtime error.
 """
@@ -19,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .density import DensitySpec, Rect
 from .errors import ConfigError, GeonavError, config_errors
@@ -27,8 +29,8 @@ from .harness import ExperimentConfig, render_svg, run_experiment, summarize
 from .limits import constants, predict_cross, predict_straight
 from .navigation import (CROSS_KINDS, DIRECTED_KINDS, NavKind, NavSpec,
                          record_to_dict, run, run_directed)
-from .points import (NAVMAX_DIRECTIONS, diagnose, load_points, sample_iid, sample_ppp,
-                     save_points)
+from .points import (NAVMAX_DIRECTIONS, load_points, maxball, navmax, r_min, sample_iid,
+                     sample_ppp, save_points)
 
 
 def _parse_point(text: str) -> complex:
@@ -65,7 +67,7 @@ def _add_nav_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, help="sector angle (straight/directed kinds)")
     p.add_argument("--p-theta", dest="p_theta", type=int,
                    help="sector count (cross / random-north kinds)")
-    p.add_argument("--alpha", type=float, default=0.0, help="directed axis angle")
+    p.add_argument("--alpha", type=float, help="axis angle (directed kinds, default 0)")
     p.add_argument("--north-seed", dest="north_seed", type=int, default=None)
 
 
@@ -150,7 +152,8 @@ def _cmd_navigate(args) -> int:
 def _cmd_limits(args) -> int:
     spec = _nav_spec(args)
     with config_errors():
-        out = constants(spec.kind, spec.theta).as_dict()
+        row = constants(spec.kind, spec.theta)
+    out = {k: v for k, v in asdict(row).items() if v is not None}
     if (args.s is None) != (args.t is None):
         raise ConfigError("a pair prediction needs both --s and --t")
     if args.s is not None:
@@ -186,9 +189,9 @@ def _cmd_diagnose(args) -> int:
         if not 0.0 < value < math.inf:
             raise ConfigError(f"{flag} must be finite and > 0, got {value!r}")
     ps = load_points(args.points)
-    d = diagnose(ps, args.theta, args.grid_step, args.r)
-    print(json.dumps({"navmax": d.navmax, "maxball": d.maxball,
-                      "r_min": d.r_min, "grid_step": d.grid_step,
+    print(json.dumps({"navmax": navmax(ps, args.theta, args.grid_step),
+                      "maxball": maxball(ps, args.r, args.grid_step),
+                      "r_min": r_min(ps), "grid_step": args.grid_step,
                       "directions": NAVMAX_DIRECTIONS}, indent=2))
     return 0
 

@@ -165,10 +165,6 @@ class DensitySpec:
 
         return bump
 
-    def at(self, p) -> float:
-        z = as_point(p)
-        return self.scalar()(z.real, z.imag)
-
     def _compute_bounds(self):
         d = self.domain
         if self.kind == "constant":

@@ -57,6 +57,13 @@ def whole_number(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def check_exponent(g) -> None:
+    """The rule of a power cost's exponent g (``sum |hop|^g``): ValueError
+    unless g is finite and >= 0."""
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"g must be finite and >= 0, got {g!r}")
+
+
 def norm_angle(a: float) -> float:
     """Reduce an angle to ``[0, 2*pi)``."""
     a = math.fmod(a, TWO_PI)

@@ -68,8 +68,10 @@ class ExperimentConfig:
         with config_errors():
             for name, minimum in (("seeds_per_n", 0), ("max_pairs", 1), ("master_seed", 0)):
                 object.__setattr__(self, name, whole_number(name, getattr(self, name), minimum))
-        if self.pairs is None and self.grid_step is None:
-            raise ConfigError("a config needs explicit pairs or a grid_step")
+        # max_pairs is not refused beside explicit pairs: its default 16
+        # cannot be told apart from an explicit 16
+        if (self.pairs is None) == (self.grid_step is None):
+            raise ConfigError("a config needs one pair source: explicit pairs or a grid_step")
         if self.pairs is not None:
             with config_errors("pairs: "):
                 object.__setattr__(self, "pairs", tuple((as_point(s), as_point(t))
@@ -250,9 +252,8 @@ def _run_cell(config: ExperimentConfig, n_idx: int, seed_idx: int,
         t0 = time.perf_counter()
         rec = run(config.nav, s, t, ps)
         wall = time.perf_counter() - t0
-        rep = costs(rec, config.exponents)
         cost_vals = {}
-        for g, v in zip(rep.exponents, rep.values):
+        for g, v in zip(config.exponents, costs(rec, config.exponents)):
             # observed costs rescaled to the n-free limit normalization
             cost_vals[float(g)] = v * sqrt_n ** (float(g) - 1.0)
         dh = hausdorff_distance([complex(x, y) for x, y in rec.stops], poly,
@@ -368,7 +369,10 @@ def summarize(rows) -> dict:
 # SVG scenes
 # ---------------------------------------------------------------------------
 
-def render_svg(path, ps=None, paths=(), limit_polylines=(), size: int = 640) -> None:
+SVG_SIZE = 640      # the scene's width and height in pixels
+
+
+def render_svg(path, ps=None, paths=(), limit_polylines=()) -> None:
     """Deterministic SVG scene: point set as dots, runs as solid polylines,
     limit polylines dashed."""
     if ps is not None:
@@ -380,16 +384,14 @@ def render_svg(path, ps=None, paths=(), limit_polylines=(), size: int = 640) -> 
         dom = Rect(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
     else:
         raise ValueError("nothing to draw")
-    sx = size / dom.width
-    sy = size / dom.height
-    scale = min(sx, sy)
+    scale = min(SVG_SIZE / dom.width, SVG_SIZE / dom.height)
 
     def tx(x, y):
         return ((x - dom.x0) * scale, (dom.y1 - y) * scale)
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-           f'viewBox="0 0 {size} {size}">',
-           f'<rect width="{size}" height="{size}" fill="#ffffff"/>']
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+           f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+           f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="#ffffff"/>']
     if ps is not None and len(ps):
         dots = []
         r = max(0.6, 1.6 - len(ps) / 40000.0)

@@ -54,7 +54,7 @@ import numpy as np
 from .density import DensitySpec
 from .errors import (GammaLeavesInset, OutOfRangeTheta, SegmentLeavesDomain,
                      StepOutOfDomain)
-from .geometry import CrossParams, as_point, corner_point, gamma_path
+from .geometry import CrossParams, as_point, check_exponent, corner_point, gamma_path
 from .navigation import (CROSS_KINDS, DIRECTED_KINDS, DISK_KINDS, NavKind, in_guarded_range,
                          stage_samples)
 
@@ -134,8 +134,7 @@ def hop_moment(kind, theta: float, g: float) -> float:
     theta <= pi/2.  Raises ValueError unless g is finite and >= 0 and the
     moment is a finite float.
     """
-    if not 0.0 <= g < math.inf:
-        raise ValueError(f"g must be finite and >= 0, got {g!r}")
+    check_exponent(g)
     if g == 0:
         return 1.0
     try:
@@ -178,14 +177,6 @@ class ConstantsRow:
     c_bor: float | None = None
     q_bor: float | None = None
     e_xi: float | None = None
-
-    def as_dict(self) -> dict:
-        d = {"kind": self.kind.value, "theta": self.theta,
-             "c_bis": self.c_bis, "q_bis": self.q_bis,
-             "e_l": self.e_l, "e_x": self.e_x}
-        if self.c_bor is not None:
-            d.update(c_bor=self.c_bor, q_bor=self.q_bor, e_xi=self.e_xi)
-        return d
 
 
 def check_theta(kind, theta: float) -> None:
@@ -305,7 +296,6 @@ def default_step(density: DensitySpec) -> float:
 class LimitCurve:
     times: np.ndarray
     positions: np.ndarray        # (m, 2)
-    hit_time: float              # time at which the curve reaches its target
     # each exponent's cost, folded from the curve's own walk (a glued curve
     # adds its legs' costs in leg order)
     end_costs: tuple = ()
@@ -317,12 +307,13 @@ class LimitCurve:
         return np.column_stack([px, py])
 
     @property
-    def end_position(self) -> complex:
-        return complex(self.positions[-1, 0], self.positions[-1, 1])
+    def hit_time(self) -> float:
+        """Time at which the curve reaches its target: its last time."""
+        return float(self.times[-1])
 
 
 def _point_curve(z: complex, end_costs: tuple) -> LimitCurve:
-    return LimitCurve(np.zeros(1), np.array([[z.real, z.imag]]), 0.0, end_costs)
+    return LimitCurve(np.zeros(1), np.array([[z.real, z.imag]]), end_costs)
 
 
 # Every walk stops after this many steps.  The margin keeps rounding in a
@@ -435,10 +426,9 @@ def euler_solve(lam: float, s, t, density: DensitySpec, h: float,
         raise StepOutOfDomain("target not reached within the iteration budget")
     costs = tuple(_walk_cost(fs, frac, h, q, g) for q, g in zip(cost_q, cost_g))
     times = list(itertools.accumulate(itertools.repeat(h, len(fs) - 1), initial=0.0))
-    end = times[-1] + frac * h
-    times.append(end)
+    times.append(times[-1] + frac * h)
     arr = np.array(pos, dtype=np.complex128).view(np.float64).reshape(-1, 2)
-    return LimitCurve(np.asarray(times), arr, end, costs)
+    return LimitCurve(np.asarray(times), arr, costs)
 
 
 def hit_time(lam: float, s, t, density: DensitySpec, h: float) -> float:
@@ -582,7 +572,7 @@ def _glue(curves) -> LimitCurve:
     times = np.concatenate([a.times, shift + b.times[1:]])
     positions = np.vstack([a.positions, b.positions[1:]])
     costs = tuple(ca + cb for ca, cb in zip(a.end_costs, b.end_costs))
-    return LimitCurve(times, positions, shift + b.hit_time, costs)
+    return LimitCurve(times, positions, costs)
 
 
 def predict_cost(kind, theta: float, exponents, s, t, density: DensitySpec,

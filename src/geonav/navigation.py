@@ -20,11 +20,11 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import EPS, TWO_PI, as_point, sector_of_angle, whole_number
+from .geometry import EPS, TWO_PI, as_point, check_exponent, sector_of_angle, whole_number
 from .points import PointSet, nearest_in_sector
 
 __all__ = [
-    "NavKind", "NavSpec", "PathRecord", "CostReport",
+    "NavKind", "NavSpec", "PathRecord",
     "next_stop", "run", "run_directed", "costs", "stage_samples", "in_guarded_range",
 ]
 
@@ -75,17 +75,18 @@ class NavSpec:
     """Navigation kind plus its sector angle.
 
     Cross and random-north kinds take ``p_theta`` (the angle is
-    ``2*pi/p_theta``); straight and directed kinds take ``theta`` directly
-    and refuse a ``p_theta``.
-    ``alpha`` (finite) is the constant axis of directed kinds; ``north_seed``
-    (whole, >= 0) seeds the per-point axis offsets of random-north kinds;
-    ``max_steps`` (whole, >= 1) overrides the point set's step budget.
+    ``2*pi/p_theta``, and a ``theta`` other than that is refused); straight
+    and directed kinds take ``theta`` directly and refuse a ``p_theta``.
+    ``alpha`` (finite, unset reads as 0) is the constant axis of directed
+    kinds; ``north_seed`` (whole, >= 0, unset reads as 0) seeds the
+    per-point axis offsets of random-north kinds; every other kind refuses
+    them.  ``max_steps`` (whole, >= 1) overrides the point set's step budget.
     """
 
     kind: NavKind
     theta: float | None = None
     p_theta: int | None = None
-    alpha: float = 0.0
+    alpha: float | None = None
     north_seed: int | None = None
     max_steps: int | None = None
 
@@ -94,6 +95,10 @@ class NavSpec:
         object.__setattr__(self, "kind", kind)
         if kind in CROSS_KINDS or kind in NORTH_KINDS:
             object.__setattr__(self, "p_theta", whole_number("p_theta", self.p_theta, 3))
+            # equal is allowed, so that dataclasses.replace keeps a spec
+            if self.theta not in (None, TWO_PI / self.p_theta):
+                raise ValueError(f"{kind.value} takes p_theta; its theta is "
+                                 f"2*pi/p_theta, not {self.theta!r}")
             object.__setattr__(self, "theta", TWO_PI / self.p_theta)
         else:
             if self.theta is None or not 0.0 < self.theta < TWO_PI:
@@ -103,10 +108,15 @@ class NavSpec:
             if kind not in DISK_KINDS and not self.theta <= math.pi + EPS:
                 # the projection cap needs tan(theta/2) >= 0
                 raise ValueError(f"{kind.value} needs theta <= pi")
-        if not math.isfinite(self.alpha):
+        # a field the kind would not read is refused, not dropped
+        for name, kinds, unset in (("alpha", DIRECTED_KINDS, 0.0),
+                                   ("north_seed", NORTH_KINDS, 0)):
+            if kind in kinds and getattr(self, name) is None:
+                object.__setattr__(self, name, unset)
+            elif kind not in kinds and getattr(self, name) is not None:
+                raise ValueError(f"{kind.value} takes no {name}")
+        if self.alpha is not None and not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
-        if kind in NORTH_KINDS and self.north_seed is None:
-            object.__setattr__(self, "north_seed", 0)
         for name, minimum in (("north_seed", 0), ("max_steps", 1)):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, whole_number(name, getattr(self, name), minimum))
@@ -169,12 +179,6 @@ class PathRecord:
     def monotone_approach(self) -> bool:
         d = self.dist_to_target()
         return bool((np.diff(d) < 0.0).all())
-
-
-@dataclass(frozen=True)
-class CostReport:
-    exponents: tuple
-    values: tuple
 
 
 def norths_for(ps: PointSet, seed: int) -> np.ndarray:
@@ -297,21 +301,21 @@ def run_directed(spec: NavSpec, s, ps: PointSet, stop_after: int | None = None) 
     return PathRecord(arr, None, False, reason, ids)
 
 
-def costs(record: PathRecord, exponents) -> CostReport:
-    """Per-exponent power costs sum(|stage|^g); g=0 counts stages, g=1 is the
-    path length."""
+def costs(record: PathRecord, exponents) -> tuple:
+    """Power costs sum(|stage|^g), one float per exponent in order; g=0
+    counts stages, g=1 is the path length.  Each g must be finite and >= 0
+    (``geometry.check_exponent``)."""
     ls = record.stage_lengths
     vals = []
     for g in exponents:
-        if g < 0:
-            raise ValueError("exponents must be >= 0")
+        check_exponent(g)
         if g == 0:
             vals.append(float(len(ls)))
         elif g == 1:
             vals.append(float(ls.sum()))
         else:
             vals.append(float((ls ** g).sum()))
-    return CostReport(tuple(exponents), tuple(vals))
+    return tuple(vals)
 
 
 def stage_samples(kind: NavKind, theta: float, count: int, seed: int,

@@ -36,7 +36,7 @@ from .errors import ConfigError, EmptyPointSet, TooFewPoints
 from .geometry import EPS, as_point, norm_angle, whole_number
 
 __all__ = [
-    "GridIndex", "PointSet", "Diagnostics",
+    "GridIndex", "PointSet",
     "sample_ppp", "sample_iid", "nearest_in_sector",
     "navmax", "NAVMAX_DIRECTIONS", "maxball", "r_min", "save_points", "load_points",
 ]
@@ -501,14 +501,6 @@ def nearest_in_sector(ps: PointSet, apex, direction: float, half_angle: float,
 # diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Diagnostics:
-    navmax: float
-    maxball: int
-    r_min: float
-    grid_step: float
-
-
 def navmax(ps: PointSet, theta: float, grid_step: float) -> float:
     """Discretized sup, over apexes on a lattice of the inset domain and over
     ``NAVMAX_DIRECTIONS`` evenly spaced aim directions, of the minimal
@@ -732,12 +724,6 @@ def r_min(ps: PointSet) -> float:
         if best <= reach * idx.cell or reach >= max(idx.nx, idx.ny):
             return best
         reach = 2 * reach if math.isinf(best) else max(reach + 1, math.ceil(best / idx.cell))
-
-
-def diagnose(ps: PointSet, theta: float, grid_step: float, r: float) -> Diagnostics:
-    return Diagnostics(navmax=navmax(ps, theta, grid_step),
-                       maxball=maxball(ps, r, grid_step),
-                       r_min=r_min(ps), grid_step=grid_step)
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ def test_A7_quadratic_cost(straight_runs):
     mc = mc_constants("directed-t", math.pi / 2, 10 ** 6, seed=17000, pow_gs=(2.0,))
     z = abs(mc.e_l_pow[2.0] - q) / mc.se_e_l_pow[2.0]
     (pred,) = predict_cost("straight-t", math.pi / 2, (2.0,), s, t, UNIT)
-    vals = np.array([costs(r, (2.0,)).values[0] * math.sqrt(N_MAIN) for r in recs])
+    vals = np.array([costs(r, (2.0,))[0] * math.sqrt(N_MAIN) for r in recs])
     dev = abs(vals.mean() / pred - 1.0)
     ok = q == pytest.approx(4.0 / 3.0) and z <= 3.0 and dev <= 0.03
     assert report("A7", ok,

@@ -20,13 +20,18 @@ def test_unknown_subcommand(capsys):
     assert code == 1
 
 
+ROW_KEYS = {"kind", "theta", "c_bis", "q_bis", "e_l", "e_x"}
+BORDER_KEYS = {"c_bor", "q_bor", "e_xi"}
+
+
 def test_limits_straight_t(capsys):
     code, out, _ = run_cli(capsys, "limits", "--kind", "straight-t",
                            "--theta", "1.5708")
     assert code == 0
     obj = json.loads(out)
     assert obj["q_bis"] == pytest.approx(1.147794, abs=1e-4)
-    assert "c_bor" not in obj and "q_bor" not in obj   # one leg: no border row
+    assert set(obj) == ROW_KEYS and obj["kind"] == "straight-t"   # one leg: no border row
+    assert '"kind": "straight-t"' in out
 
 
 def test_limits_with_pair_prediction(capsys):
@@ -35,7 +40,8 @@ def test_limits_with_pair_prediction(capsys):
                            "--domain", "0,0,1,1", "--density", "constant:1")
     assert code == 0
     obj = json.loads(out)
-    assert "pred_length" in obj and "pred_nb_over_sqrt_n" in obj
+    assert set(obj) == ROW_KEYS | BORDER_KEYS | {"pred_length", "pred_nb_over_sqrt_n"}
+    assert obj["kind"] == "t"
     assert obj["q_bor"] == pytest.approx(1.215973, abs=1e-5)
 
 
@@ -172,10 +178,12 @@ def test_experiment_missing_key_is_config_error(tmp_path, capsys):
     {"density": {"kind": "constant", "params": [math.nan], "domain": [0, 0, 1, 1]}},
     {"density": {"kind": "constant", "params": [1.0], "domain": [0, 0, 1e400, 1]}},
     {"master_seed": -1},
-    {"nav": {"kind": "straight-t", "theta": math.pi / 2, "north_seed": -1}},
+    {"nav": {"kind": "random-north-t", "p_theta": 6, "north_seed": -1}},
     {"nav": {"kind": "straight-t", "theta": math.pi / 2, "max_steps": -5}},
     {"nav": {"kind": "straight-t", "theta": math.pi / 2, "max_steps": 0}},
-    {"seeds_per_n": 1.5}])
+    {"seeds_per_n": 1.5},
+    # two pair sources; a cross kind's theta other than 2*pi/p_theta
+    {"grid_step": 0.1}, {"nav": {"kind": "t", "p_theta": 6, "theta": 0.5}}])
 def test_experiment_invalid_value_is_config_error(tmp_path, capsys, change):
     # refused before any sampling or prediction
     cfg = write_config(tmp_path, **change)
@@ -246,7 +254,13 @@ def test_steps_is_the_hop_budget_of_a_targeted_kind(capsys):
       "--s", "0.2,0.5", "--t", "0.8,0.5"], "n must be"),
     (["diagnose", "--points", "{tmp}/bad_row.csv"], "line 6"),
     (["limits", "--kind", "straight-t", "--theta", "1.5708",
-      "--s", "0.01,0.5", "--t", "0.99,0.5"], "inset")])
+      "--s", "0.01,0.5", "--t", "0.99,0.5"], "inset"),
+    # a field the kind would not read: NavSpec refuses it
+    (["limits", "--kind", "t", "--p-theta", "6", "--theta", "0.5"], "theta"),
+    (["navigate", "--kind", "t", "--p-theta", "6", "--s", "0.2,0.5", "--t", "0.8,0.5",
+      "--alpha", "2"], "alpha"),
+    (["navigate", "--kind", "t", "--p-theta", "6", "--s", "0.2,0.5", "--t", "0.8,0.5",
+      "--north-seed", "7"], "north_seed")])
 def test_refused_input_exits_1(tmp_path, capsys, argv, word):
     # the sampler refuses its n, load_points its row and a prediction its
     # pair, each as a config error

@@ -125,14 +125,15 @@ def test_generated_pairs_all_predict_property(x0, y0, w, h, inset, cols, kind, p
 
 # -- config reading --------------------------------------------------------------
 
-# every key a config may hold, at each level
+# every key a config may hold, at each level, but explicit pairs (the other
+# pair source, in place of grid_step) and the nav's alpha (directed kinds
+# only, and a sweep takes none)
 CONFIG = {
     "density": {"kind": "constant", "params": [1.0], "domain": [0, 0, 1, 1], "inset_a": 0.04},
-    "nav": {"kind": "straight-t", "theta": 1.5, "alpha": 0.25, "north_seed": 3,
-            "max_steps": 900},
+    "nav": {"kind": "random-north-t", "theta": 2 * math.pi / 6, "p_theta": 6,
+            "north_seed": 3, "max_steps": 900},
     "n_values": [400.0],
     "seeds_per_n": 1,
-    "pairs": [[[0.2, 0.5], [0.8, 0.5]]],
     "grid_step": 0.2,
     "max_pairs": 3,
     "exponents": [0.0, 2.0],
@@ -148,12 +149,17 @@ CONFIG = {
 
 def test_config_from_dict_reads_every_known_key():
     cfg = ExperimentConfig.from_dict(CONFIG)
-    assert (cfg.density.inset_a, cfg.nav.alpha, cfg.nav.north_seed, cfg.nav.max_steps) == (
-        0.04, 0.25, 3, 900)
+    assert (cfg.density.inset_a, cfg.nav.p_theta, cfg.nav.north_seed, cfg.nav.max_steps) == (
+        0.04, 6, 3, 900)
     assert (cfg.grid_step, cfg.max_pairs, cfg.exponents, cfg.master_seed, cfg.euler_h,
             cfg.hausdorff_resolution, cfg.navmax_grid_step) == (
         0.2, 3, (0.0, 2.0), 9, 1e-3, 2e-3, 0.05)
     assert (cfg.csv_path, cfg.json_path, cfg.svg_path) == ("a.csv", "a.json", "a.svg")
+    obj = {k: v for k, v in CONFIG.items() if k != "grid_step"}
+    cfg = ExperimentConfig.from_dict(dict(obj, pairs=[[[0.2, 0.5], [0.8, 0.5]]]))
+    assert (cfg.pairs, cfg.grid_step) == (((0.2 + 0.5j, 0.8 + 0.5j),), None)
+    with pytest.raises(ConfigError, match="takes no alpha"):
+        ExperimentConfig.from_dict(dict(CONFIG, nav=dict(CONFIG["nav"], alpha=0.25)))
 
 
 @pytest.mark.parametrize("where,key", [
@@ -182,8 +188,8 @@ def test_config_from_dict_defaults_are_the_fields_defaults():
 
 def test_whole_number_fields_read_integral_floats():
     cfg = small_config(seeds_per_n=2.0, max_pairs=3.0, master_seed=5.0,
-                       nav=NavSpec(kind=NavKind.THETA, p_theta=6.0, max_steps=40.0,
-                                   north_seed=1.0))
+                       nav=NavSpec(kind=NavKind.RANDOM_NORTH_THETA, p_theta=6.0,
+                                   max_steps=40.0, north_seed=1.0))
     got = (cfg.seeds_per_n, cfg.max_pairs, cfg.master_seed, cfg.nav.p_theta,
            cfg.nav.max_steps, cfg.nav.north_seed)
     assert got == (2, 3, 5, 6, 40, 1) and all(type(v) is int for v in got)

@@ -488,7 +488,7 @@ def test_predict_straight_constant_example():
                                          0.2 + 0.5j, 0.8 + 0.5j, UNIT)
     assert length == pytest.approx(0.688676, abs=1e-6)
     assert nb == pytest.approx(0.677028, abs=1e-4)
-    assert curve.end_position == pytest.approx(0.8 + 0.5j, abs=1e-6)
+    assert complex(*curve.positions[-1]) == pytest.approx(0.8 + 0.5j, abs=1e-6)
 
 
 def test_predict_straight_degenerate():
@@ -716,7 +716,7 @@ def golden_record(dens, s, t, kind):
         length, nb, curve = predict_straight(kind, math.pi / 3, s, t, dens, exponents=gs)
     costs = predict_cost(kind, math.pi / 3, gs, s, t, dens,
                          p_theta=6 if kind == "t" else None)
-    record = (repr(float(length)), repr(float(nb)), repr(curve.end_position),
+    record = (repr(float(length)), repr(float(nb)), repr(complex(*curve.positions[-1])),
               len(curve.times), repr(float(curve.times[-1])),
               repr(float(curve.hit_time)), tuple(repr(float(c)) for c in costs))
     return record, tuple(repr(float(c)) for c in curve.end_costs)

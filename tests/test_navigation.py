@@ -9,6 +9,7 @@ from geonav import (DensitySpec, NavKind, NavSpec, PointSet, Rect, costs, load_p
                     nearest_in_sector, next_stop, run, run_directed, sample_ppp, save_points,
                     stage_samples)
 from geonav.geometry import sector_of_angle
+from geonav.limits import hop_moment
 from geonav.navigation import PathRecord, norths_for
 
 DEG = math.pi / 180.0
@@ -171,9 +172,19 @@ def test_costs_identities():
     rec = PathRecord(np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]]),
                      3 + 4j, True, "reached")
     rep = costs(rec, (0.0, 1.0, 2.0))
-    assert rep.values[0] == rec.nb == 2
-    assert rep.values[1] == pytest.approx(rec.length) == pytest.approx(7.0)
-    assert rep.values[2] == pytest.approx(3.0 ** 2 + 4.0 ** 2) == 25.0
+    assert rep[0] == rec.nb == 2
+    assert rep[1] == pytest.approx(rec.length) == pytest.approx(7.0)
+    assert rep[2] == pytest.approx(3.0 ** 2 + 4.0 ** 2) == 25.0
+
+
+@pytest.mark.parametrize("g", [math.nan, math.inf, -1.0])
+def test_costs_refuse_the_exponents_hop_moment_refuses(g):
+    # one rule for both: g finite and >= 0
+    rec = PathRecord(np.array([[0.0, 0.0], [3.0, 0.0]]), 3 + 0j, True, "reached")
+    for call in (lambda: costs(rec, (1.0, g)),
+                 lambda: hop_moment(NavKind.STRAIGHT_THETA, math.pi / 2, g)):
+        with pytest.raises(ValueError, match="g must be finite and >= 0"):
+            call()
 
 
 # -- stage sampler -----------------------------------------------------------------

@@ -220,9 +220,9 @@ def test_dedupe_keeps_rows_that_share_only_x(monkeypatch):
 
 def test_sampler_redraws_a_duplicate_by_the_batch_rule(monkeypatch):
     # the batch is thinned through the array rule (DensitySpec.value), which
-    # on a bump may differ in the last bit from the one-point rule (``at``);
-    # a redrawn duplicate must be accepted by the batch's rule, so ``at`` is
-    # never called
+    # on a bump may differ in the last bit from the one-point rule
+    # (``scalar``); a redrawn duplicate must be accepted by the batch's rule,
+    # so ``scalar`` is never called
     thin = points._thinned_uniform
     planted = []
 
@@ -237,7 +237,7 @@ def test_sampler_redraws_a_duplicate_by_the_batch_rule(monkeypatch):
         raise AssertionError("a redraw took the one-point rule")
 
     monkeypatch.setattr(points, "_thinned_uniform", plant)
-    monkeypatch.setattr(DensitySpec, "at", refuse)
+    monkeypatch.setattr(DensitySpec, "scalar", refuse)
     ps = sample_ppp(BUMP, 500, seed=12)
     (batch,) = planted
     assert len(np.unique(ps.points, axis=0)) == len(ps) == len(batch)
@@ -1403,8 +1403,8 @@ def test_density_spec_invariants():
         DensitySpec.radial_bump(0.1 + 0.1j, 1.0, 2.0, 0.3)   # disk exits domain
     bump = DensitySpec.radial_bump(0.5 + 0.5j, 1.0, 2.0, 0.3)
     assert bump.m_f == 1.0 and bump.M_f == 3.0
-    assert bump.at(0.5 + 0.5j) == pytest.approx(3.0)
-    assert bump.at(0.5 + 0.85j) == pytest.approx(1.0)
+    assert bump.scalar()(0.5, 0.5) == pytest.approx(3.0)
+    assert bump.scalar()(0.5, 0.85) == pytest.approx(1.0)
     # normalized profile integrates to 1
     norm = bump.normalized()
     assert norm.integral == pytest.approx(1.0)
@@ -1414,7 +1414,6 @@ def _scalar_matches_value(dens, x, y):
     got = dens.scalar()(x, y)
     assert type(got) is float
     assert got == float(dens.value(x, y))
-    assert got == dens.at(complex(x, y))
 
 
 @settings(max_examples=200)
@@ -1458,8 +1457,7 @@ def test_scalar_density_leaves_spec_picklable_and_equal():
     import pickle
     for dens in (UNIT, BUMP, DensitySpec.affine(1.0, -0.5, 0.25)):
         twin = DensitySpec.from_dict(dens.to_dict())
-        dens.scalar()
-        dens.at(0.5 + 0.5j)
+        dens.scalar()(0.5, 0.5)
         back = pickle.loads(pickle.dumps(dens))
         assert back == dens == twin
         assert hash(back) == hash(dens) == hash(twin)
