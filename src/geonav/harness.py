@@ -18,11 +18,11 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .density import DensitySpec, Rect
+from .density import DensitySpec
 from .errors import ConfigError, EmptyInput, NoValidPairs, StepOutOfDomain, config_errors
-from .geometry import CrossParams, as_point, gamma_path, hausdorff_distance, whole_number
+from .geometry import as_point, hausdorff_distance, whole_number
 # bench/tracing.py wraps harness.predict_cost by name, so the import stays
-from .limits import (_check_leg, _legs, check_theta, default_step, hop_moment,
+from .limits import (_check_leg, _legs, check_theta, default_step, hop_moment, limit_path,
                      limit_path_in_inset, predict_cost, predict_cross, predict_straight)
 from .navigation import CROSS_KINDS, DIRECTED_KINDS, NavSpec, costs, run
 from .points import navmax, sample_ppp
@@ -224,12 +224,11 @@ def _predictions(config: ExperimentConfig, pairs):
         if nav.kind in CROSS_KINDS:
             length, nb, curve = predict_cross(nav.kind, nav.p_theta, s, t, dens,
                                               h=config.euler_h, exponents=exponents)
-            poly = gamma_path(s, t, CrossParams(nav.p_theta))
         else:
             length, nb, curve = predict_straight(nav.kind, nav.theta, s, t, dens,
                                                  h=config.euler_h, exponents=exponents)
-            poly = [s, t]
-        preds.append((length, nb, curve, poly, dict(zip(exponents, curve.end_costs))))
+        preds.append((length, nb, curve, limit_path(nav.kind, nav.p_theta, s, t),
+                      dict(zip(exponents, curve.end_costs))))
     return preds
 
 
@@ -242,16 +241,20 @@ def _cell_seed(config: ExperimentConfig, n_idx: int, seed_idx: int) -> int:
 
 def _run_cell(config: ExperimentConfig, n_idx: int, seed_idx: int,
               pairs, preds) -> list:
+    """One (n, seed) cell's rows.  The last cell also draws its own point
+    set, runs and limit paths to ``config.svg_path``."""
     n = config.n_values[n_idx]
     ps = sample_ppp(config.density, n, _cell_seed(config, n_idx, seed_idx))
     nm_step = config.navmax_grid_step or max(4.0 / math.sqrt(ps.rate), 0.02)
     nm = navmax(ps, config.nav.theta, nm_step) if len(ps) else float("nan")
     rows = []
+    recs = []
     sqrt_n = math.sqrt(n)
     for (s, t), (p_len, p_nb, curve, poly, p_costs) in zip(pairs, preds):
         t0 = time.perf_counter()
         rec = run(config.nav, s, t, ps)
         wall = time.perf_counter() - t0
+        recs.append(rec)
         cost_vals = {}
         for g, v in zip(config.exponents, costs(rec, config.exponents)):
             # observed costs rescaled to the n-free limit normalization
@@ -268,12 +271,21 @@ def _run_cell(config: ExperimentConfig, n_idx: int, seed_idx: int,
             pred_nb=p_nb * sqrt_n, pred_length=p_len,
             cost_values=cost_vals, pred_costs=p_costs,
             hausdorff=dh, sup_pos_err=sup_err, navmax=nm, wall_time=wall))
+    if config.svg_path and (n_idx, seed_idx) == (len(config.n_values) - 1,
+                                                 config.seeds_per_n - 1):
+        render_svg(config.svg_path, ps, recs, [p[3] for p in preds])
     return rows
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1):
     """All (n, seed) cells over the generated pairs, rows in deterministic
-    (n, seed, pair) order regardless of execution order."""
+    (n, seed, pair) order regardless of execution order.
+
+    ``workers`` (a whole number >= 1, else ConfigError) processes run the
+    cells; the CSV and JSON are written once every cell is done, and the
+    SVG by the last cell's own run (``_run_cell``)."""
+    with config_errors():
+        workers = whole_number("workers", workers, 1)
     cells = [(i, j) for i in range(len(config.n_values))
              for j in range(config.seeds_per_n)]
     pairs = generate_pairs(config)
@@ -291,12 +303,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     if config.json_path:
         with open(config.json_path, "w") as fh:
             json.dump(summarize(rows), fh, indent=2, sort_keys=True)
-    if config.svg_path:
-        i, j = cells[-1]
-        ps = sample_ppp(config.density, config.n_values[i], _cell_seed(config, i, j))
-        recs = [run(config.nav, s, t, ps) for s, t in pairs]
-        render_svg(config.svg_path, ps=ps, paths=recs,
-                   limit_polylines=[p[3] for p in preds])
     return rows
 
 
@@ -372,18 +378,10 @@ def summarize(rows) -> dict:
 SVG_SIZE = 640      # the scene's width and height in pixels
 
 
-def render_svg(path, ps=None, paths=(), limit_polylines=()) -> None:
-    """Deterministic SVG scene: point set as dots, runs as solid polylines,
-    limit polylines dashed."""
-    if ps is not None:
-        dom = ps.density.domain
-    elif paths:
-        pts = np.vstack([p.stops for p in paths])
-        lo = pts.min(axis=0) - 0.05
-        hi = pts.max(axis=0) + 0.05
-        dom = Rect(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
-    else:
-        raise ValueError("nothing to draw")
+def render_svg(path, ps, paths=(), limit_polylines=()) -> None:
+    """Deterministic SVG scene framed by the point set's domain: the points
+    as dots, runs as solid polylines, limit polylines dashed."""
+    dom = ps.density.domain
     scale = min(SVG_SIZE / dom.width, SVG_SIZE / dom.height)
 
     def tx(x, y):
@@ -392,7 +390,7 @@ def render_svg(path, ps=None, paths=(), limit_polylines=()) -> None:
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
            f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
            f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="#ffffff"/>']
-    if ps is not None and len(ps):
+    if len(ps):
         dots = []
         r = max(0.6, 1.6 - len(ps) / 40000.0)
         for x, y in ps.points:

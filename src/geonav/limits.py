@@ -24,11 +24,11 @@ fixed Gauss-Legendre rule (``hop_moment``).  No prediction samples.
 ``navigation.stage_samples``, with standard errors; it is kept as an
 independent oracle for the closed forms.
 
-One leg rule (``_legs``) gives the shape of every limit trajectory: the
-segment ``[s, t]`` for straight and random-north kinds, or the two legs
-through the corner for cross kinds, each leg with its own ``(lam, q)``
-constants; it refuses, for every kind, a pair whose trajectory leaves the
-inset (``limit_path_in_inset``).  ``predict_straight`` and
+One function (``limit_path``) gives the shape of every limit trajectory:
+``[s, t]``, or the two-leg polyline through the corner for cross kinds.  The
+leg rule (``_legs``) splits it into legs with their own ``(lam, q)``
+constants and refuses, for every kind, a pair whose path leaves the inset
+(``limit_path_in_inset``).  ``predict_straight`` and
 ``predict_cross`` share one body over those legs: the length is the sum of
 ``q * |leg|``, the stage count the sum of the legs' hitting times, and the
 curve the legs' Euler walks glued end to end.  Given ``exponents``, each
@@ -54,7 +54,7 @@ import numpy as np
 from .density import DensitySpec
 from .errors import (GammaLeavesInset, OutOfRangeTheta, SegmentLeavesDomain,
                      StepOutOfDomain)
-from .geometry import CrossParams, as_point, check_exponent, corner_point, gamma_path
+from .geometry import CrossParams, as_point, check_exponent, gamma_path
 from .navigation import (CROSS_KINDS, DIRECTED_KINDS, DISK_KINDS, NavKind, in_guarded_range,
                          stage_samples)
 
@@ -62,7 +62,7 @@ __all__ = [
     "ConstantsRow", "constants", "McConstants", "mc_constants",
     "LimitCurve", "euler_solve", "hit_time", "predict_straight",
     "predict_cross", "predict_cost", "check_theta",
-    "limit_path_in_inset",
+    "limit_path", "limit_path_in_inset",
 ]
 
 
@@ -467,48 +467,47 @@ def hit_time(lam: float, s, t, density: DensitySpec, h: float) -> float:
 INSET_SLACK = 1e-9
 
 
-def limit_path_in_inset(density: DensitySpec, kind, p_theta: int | None, s, t) -> bool:
-    """The inset rule for a start/target pair: the limit trajectory (the
-    segment ``[s, t]``, or the two-leg polyline through the corner for cross
-    kinds) stays in the inset domain, up to ``INSET_SLACK``.
-
-    Pair generation filters with it and the leg rule refuses pairs that fail
-    it, so every generated pair can be predicted.
-    """
+def limit_path(kind, p_theta: int | None, s, t) -> list:
+    """The limit trajectory from ``s`` to ``t``: ``[s, t]``, or for cross
+    kinds ``geometry.gamma_path`` through the corner.  The inset rule checks
+    it, the leg rule splits it, and the harness measures and draws it."""
     s = as_point(s)
     t = as_point(t)
     if NavKind(kind) in CROSS_KINDS:
-        path = gamma_path(s, t, CrossParams(p_theta))
-    else:
-        path = (s, t)
+        return gamma_path(s, t, CrossParams(p_theta))
+    return [s, t]
+
+
+def _in_inset(density: DensitySpec, path) -> bool:
     a = density.inset_a - INSET_SLACK
     return all(density.domain.contains(p, a) for p in path)
 
 
-def _legs(kind, theta, p_theta, s, t, density: DensitySpec) -> list:
-    """The limit trajectory from ``s`` to ``t`` as legs ``(a, b, lam, q)``.
+def limit_path_in_inset(density: DensitySpec, kind, p_theta: int | None, s, t) -> bool:
+    """The inset rule for a start/target pair: its ``limit_path`` stays in
+    the inset domain, up to ``INSET_SLACK``.  Pair generation filters with
+    it and ``_legs`` refuses pairs that fail it, so every generated pair can
+    be predicted."""
+    return _in_inset(density, limit_path(kind, p_theta, s, t))
 
-    Straight and random-north kinds have the one leg ``[s, t]`` at the
-    bisector constants of ``theta``.  Cross kinds go along the bisector to
-    the corner at ``(c_bis, q_bis)``, then along the border direction to
-    ``t`` at ``(c_bor, q_bor)``, with the sector angle ``2*pi/p_theta``.
-    Every kind raises GammaLeavesInset when its trajectory fails the inset
-    rule.  Zero-length legs are dropped, so ``s == t`` has none.
-    """
+
+def _legs(kind, theta, p_theta, s, t, density: DensitySpec) -> list:
+    """The segments of ``limit_path`` as legs ``(a, b, lam, q)``: the first
+    at the bisector constants ``(c_bis, q_bis)``, the second (cross kinds) at
+    the border's ``(c_bor, q_bor)``, of ``theta`` or of the cross kinds'
+    sector angle ``2*pi/p_theta``.  Zero-length segments are dropped, so
+    ``s == t`` has no leg.  Raises GammaLeavesInset when the path fails the
+    inset rule."""
     kind = NavKind(kind)
-    s = as_point(s)
-    t = as_point(t)
     cross = CrossParams(p_theta) if kind in CROSS_KINDS else None
     row = constants(kind, theta if cross is None else cross.theta)
-    if s == t:
+    path = limit_path(kind, p_theta, s, t)
+    if path[0] == path[-1]:
         return []
-    if not limit_path_in_inset(density, kind, p_theta, s, t):
+    if not _in_inset(density, path):
         raise GammaLeavesInset("limit trajectory exits the inset domain")
-    if cross is None:
-        return [(s, t, row.c_bis, row.q_bis)]
-    i = corner_point(s, t, cross)
-    legs = [(s, i, row.c_bis, row.q_bis), (i, t, row.c_bor, row.q_bor)]
-    return [leg for leg in legs if leg[0] != leg[1]]
+    rates = [(row.c_bis, row.q_bis), (row.c_bor, row.q_bor)]
+    return [(a, b, lam, q) for (a, b), (lam, q) in zip(zip(path, path[1:]), rates) if a != b]
 
 
 def _legs_curve(kind, angle: float, legs, density: DensitySpec, h: float,

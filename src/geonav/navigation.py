@@ -220,17 +220,17 @@ def _hop(spec: NavSpec, pos: complex, pos_id: int, t: complex | None,
     return point, pid
 
 
-def next_stop(spec: NavSpec, s, t, ps: PointSet, norths=None) -> complex:
+def next_stop(spec: NavSpec, s, t, ps: PointSet) -> complex:
     """Single decision from ``s``: the point the traveller hops to next.
 
     For targeted kinds the target takes part in the decision set, so an empty
     point set simply yields ``t``; directed kinds return ``s`` itself when
-    their sector is empty.
+    their sector is empty.  Random-north kinds read their axis offsets from
+    ``spec.north_seed``, as ``run`` does.
     """
     s = as_point(s)
     t = None if t is None else as_point(t)
-    if spec.kind in NORTH_KINDS and norths is None:
-        norths = norths_for(ps, spec.north_seed)
+    norths = norths_for(ps, spec.north_seed) if spec.kind in NORTH_KINDS else None
     pos_id = ps.id_of(s)
     point, _ = _hop(spec, s, pos_id, t, ps, norths)
     return point

@@ -205,6 +205,14 @@ def test_experiment_unknown_key_is_config_error(tmp_path, capsys, change, key):
     assert err.startswith("error:") and repr(key) in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_experiment_workers_below_one_is_config_error(tmp_path, capsys, workers):
+    code, out, err = run_cli(capsys, "experiment", "--config", write_config(tmp_path),
+                             "--workers", workers)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "workers" in err and len(err.splitlines()) == 1
+
+
 def test_experiment_step_too_fine_for_the_budget_fails_fast(tmp_path, capsys,
                                                            count_density_calls):
     # at euler_h 1e-12 the pair's walks need about 1e11 steps, far over the

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -408,6 +409,52 @@ def test_run_experiment_writes_outputs(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["per_n"][0]["runs"] == 2
     assert (tmp_path / "scene.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("nav", [NavSpec(kind=NavKind.STRAIGHT_THETA, theta=math.pi / 2),
+                                 NavSpec(kind=NavKind.THETA, p_theta=6)])
+def test_sweep_svg_is_the_last_cell_it_ran(tmp_path, monkeypatch, nav, workers):
+    # each cell samples once and runs each pair once, and the scene is the
+    # last cell's own sample and runs; worker processes inherit the counting
+    # wrappers by fork (the pool's start method on Linux) and log their calls
+    # to the same file
+    from geonav import sample_ppp
+    from geonav.navigation import run
+    log = tmp_path / "calls.log"
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "run", counted("run", run))
+    monkeypatch.setattr(harness, "sample_ppp", counted("sample_ppp", sample_ppp))
+    cfg = small_config(nav=nav, n_values=(300.0, 500.0), svg_path=str(tmp_path / "sweep.svg"))
+    run_experiment(cfg, workers=workers)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    cells = len(cfg.n_values) * cfg.seeds_per_n
+    assert [name for name, _ in calls].count("run") == cells * len(cfg.pairs)
+    assert [name for name, _ in calls].count("sample_ppp") == cells
+    assert (str(os.getpid()) in {pid for _, pid in calls}) == (workers == 1)
+    i, j = len(cfg.n_values) - 1, cfg.seeds_per_n - 1
+    ps = sample_ppp(cfg.density, cfg.n_values[i], harness._cell_seed(cfg, i, j))
+    render_svg(tmp_path / "direct.svg", ps, [run(nav, s, t, ps) for s, t in cfg.pairs],
+               [limits.limit_path(nav.kind, nav.p_theta, s, t) for s, t in cfg.pairs])
+    assert (tmp_path / "sweep.svg").read_bytes() == (tmp_path / "direct.svg").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.5])
+def test_run_experiment_refuses_workers_below_one(monkeypatch, workers):
+    # refused before any pair is generated or any process started
+    def refuse(*args, **kwargs):
+        raise AssertionError("pairs were generated")
+
+    monkeypatch.setattr(harness, "generate_pairs", refuse)
+    with pytest.raises(ConfigError, match="workers"):
+        run_experiment(small_config(), workers=workers)
 
 
 def test_run_experiment_rejects_directed_kinds():

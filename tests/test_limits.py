@@ -13,7 +13,8 @@ from geonav import (DensitySpec, GammaLeavesInset, NavKind, NavSpec, OutOfRangeT
                     euler_solve, hit_time, mc_constants, predict_cost,
                     predict_cross, predict_straight)
 from geonav import limits, navigation
-from geonav.geometry import EPS
+from geonav.geometry import EPS, CrossParams, corner_point, gamma_path
+from geonav.harness import ExperimentConfig, generate_pairs
 from geonav.limits import hop_moment
 from geonav.navigation import CROSS_KINDS, DIRECTED_KINDS, NORTH_KINDS
 
@@ -683,6 +684,33 @@ def test_weighted_length_equality_iff_on_bisector():
     assert sum(q * abs(b - a) for a, b, _, q in legs) == pytest.approx(row.q_bis * 0.5)
     legs = limits._legs("t", None, 6, 0j, off, WIDE)
     assert sum(abs(b - a) for a, b, _, _ in legs) > 0.5 + 1e-6
+
+
+def test_legs_are_the_nonzero_segments_of_the_limit_path():
+    # every admissible t pair of the sweep lattice at step 0.1, p_theta 6:
+    # limit_path is gamma_path, and the legs are its nonzero segments at the
+    # bisector rates, then the border rates.  A corner equal to s keeps
+    # [s, s, t] in the path (the SVG draws it) and leaves one border leg; a
+    # corner equal to t leaves one bisector leg.
+    cross = CrossParams(6)
+    row = constants("t", cross.theta)
+    bis, bor = (row.c_bis, row.q_bis), (row.c_bor, row.q_bor)
+    cfg = ExperimentConfig(density=UNIT, nav=NavSpec(kind=NavKind.THETA, p_theta=6),
+                           n_values=(1.0,), seeds_per_n=1, grid_step=0.1, max_pairs=10**6)
+    corners = {"s": 0, "t": 0, "inner": 0}
+    for s, t in generate_pairs(cfg):
+        i = corner_point(s, t, cross)
+        if i == s:
+            corner, want_path, want = "s", [s, s, t], [(s, t, *bor)]
+        elif i == t:
+            corner, want_path, want = "t", [s, t], [(s, t, *bis)]
+        else:
+            corner, want_path, want = "inner", [s, i, t], [(s, i, *bis), (i, t, *bor)]
+        corners[corner] += 1
+        assert limits.limit_path("t", 6, s, t) == gamma_path(s, t, cross) == want_path
+        assert limits._legs("t", None, 6, s, t, UNIT) == want
+    assert sum(corners.values()) == 9900 and corners["s"] > 0 and corners["t"] > 0
+    assert limits.limit_path("straight-t", None, 0.2, 0.7 + 0.1j) == [0.2 + 0j, 0.7 + 0.1j]
 
 
 # -- golden predictions ----------------------------------------------------------------
